@@ -21,7 +21,7 @@ from .config import load_bundle
 from .errors import NumericError, ValidationError
 from .extrema import compare_bundles, find_extrema, localization_sweep
 from .holonomy import hol_closed, hol_ode
-from .kernel import integral_check, offdiag_bound, rho_diag, rho_grid
+from .kernel import _check_power, integral_check, offdiag_bound, rho_diag, rho_grid
 from .lattice import Semicharacter, TorusPoint, validate
 from .theta import build_basis, build_gram, rho_oracle
 
@@ -56,6 +56,14 @@ def _point(args, bundle, flag="point"):
         raise ValidationError(f"--{flag.replace('_', '')} is required for this subcommand")
     coords = _parse_floats(raw, 2 * bundle.torus.n, f"--{flag}")
     return TorusPoint.from_coords(bundle.torus, np.array(coords))
+
+
+def _power(args, bundle):
+    """The --k override, validated, or else the config's power."""
+    if args.k is None:
+        return bundle.k
+    _check_power(args.k)
+    return args.k
 
 
 def _out_stream(args):
@@ -93,7 +101,7 @@ def _cmd_validate(args):
 
 def _cmd_rho(args):
     bundle = load_bundle(args.config)
-    k = args.k or bundle.k
+    k = _power(args, bundle)
     res = rho_diag(bundle.torus, bundle.chi, k, _point(args, bundle), eps=args.eps,
                    radius=args.radius)
     _emit(args, [
@@ -108,7 +116,7 @@ def _cmd_rho(args):
 
 def _cmd_grid(args):
     bundle = load_bundle(args.config)
-    k = args.k or bundle.k
+    k = _power(args, bundle)
     field = rho_grid(bundle.torus, bundle.chi, k, args.res, eps=args.eps,
                      radius=args.radius, threads=args.threads)
     fh = _out_stream(args)
@@ -122,7 +130,7 @@ def _cmd_oracle(args):
     bundle = load_bundle(args.config)
     if bundle.torus.n != 1:
         raise ValidationError("the oracle subcommand needs an n = 1 config")
-    k = args.k or bundle.k
+    k = _power(args, bundle)
     tau = complex(bundle.torus.basis[1, 0] / bundle.torus.basis[0, 0])
     d = bundle.torus.pfaffian_abs()
     basis = build_basis(tau, d, bundle.chi, k)
@@ -144,7 +152,7 @@ def _cmd_compare(args):
     if args.chi2 is None:
         raise ValidationError("--chi2 phases are required for compare")
     phases = _parse_floats(args.chi2, 2 * bundle.torus.n, "--chi2")
-    k = args.k or bundle.k
+    k = _power(args, bundle)
     cmp = compare_bundles(bundle.torus, bundle.chi, Semicharacter(tuple(phases)), k,
                           resolution=args.res, eps=args.eps, threads=args.threads)
     lines = [
@@ -165,7 +173,8 @@ def _cmd_cylinder(args):
     ts = np.linspace(args.tmin, args.tmax, args.res)
     rows = []
     for t in ts:
-        params = cyl.CylinderParams(eta=args.eta, alpha=args.alpha, k=args.k or 1,
+        params = cyl.CylinderParams(eta=args.eta, alpha=args.alpha,
+                                    k=1 if args.k is None else args.k,
                                     t=float(t))
         a = cyl.rho_cyl_direct(params)
         b = cyl.rho_cyl_poisson(params)
@@ -176,7 +185,7 @@ def _cmd_cylinder(args):
 
 def _cmd_extrema(args):
     bundle = load_bundle(args.config)
-    k = args.k or bundle.k
+    k = _power(args, bundle)
     mx, mn = find_extrema(bundle.torus, bundle.chi, k, resolution=args.res,
                           threads=args.threads)
     lines = []
@@ -200,7 +209,7 @@ def _cmd_rigidity(args):
 
 def _cmd_offdiag(args):
     bundle = load_bundle(args.config)
-    k = args.k or bundle.k
+    k = _power(args, bundle)
     x = _point(args, bundle, "point")
     y = _point(args, bundle, "point2")
     res = offdiag_bound(bundle.torus, k, x, y, eps=args.eps, radius=args.radius)
@@ -215,7 +224,7 @@ def _cmd_offdiag(args):
 
 def _cmd_hol(args):
     bundle = load_bundle(args.config)
-    k = args.k or bundle.k
+    k = _power(args, bundle)
     p = _point(args, bundle)
     if args.vector is None:
         raise ValidationError("--vector coordinates are required for hol")

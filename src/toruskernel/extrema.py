@@ -43,9 +43,9 @@ from .lattice import (
     TWO_PI,
     LatticeVector,
     TorusPoint,
+    _nearest_distance,
     chi_phase_turns,
     shells,
-    torus_distance,
 )
 
 
@@ -240,9 +240,7 @@ def find_extrema(torus, chi, k, resolution=32, refine_iters=64, eps=1e-12, threa
                 dedup.append(loc)
         points = tuple(TorusPoint.from_coords(torus, np.array(loc)) for loc in dedup)
         sol = _predicted_points(torus, chi, k, kind)
-        dist = min(
-            torus_distance(torus, points[0], q) for q in sol.points
-        ) if sol.points else float("nan")
+        dist = _nearest_distance(torus, points[0], sol.points) if sol.points else float("nan")
         reports[kind] = ExtremumReport(
             kind=kind, location=points[0], value=float(opt), predicted=sol.points,
             distance=float(dist), tied_locations=points, window=window,

@@ -29,20 +29,22 @@ from __future__ import annotations
 
 import csv
 import math
+import numbers
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import QuadratureUnconverged
+from .errors import QuadratureUnconverged, ValidationError
 from .holonomy import calibration_sign
 from .lattice import (
     ENUM_CAP,
     TWO_PI,
     TorusPoint,
+    _derived,
+    _enumerate_sorted,
+    _l1,
     chi_phase_turns,
-    enumerate_shifted,
-    enumerate_within,
 )
 
 DEFAULT_EPS = 1e-10
@@ -62,14 +64,18 @@ class SeriesResult:
         return self.tail * (k / TWO_PI) ** n
 
 
-def _l1(torus):
-    cached = getattr(torus, "_l1_cache", None)
-    if cached is None:
-        start = math.sqrt(float(np.min(np.diag(torus.gram))))
-        vecs = enumerate_within(torus, start * (1.0 + 1e-12))
-        cached = vecs[0].length
-        object.__setattr__(torus, "_l1_cache", cached)
-    return cached
+def _check_power(k, eps=None):
+    """Raise ValidationError unless k is an integer >= 1 and eps (when
+    given) a number in (0, 1).
+
+    Without this, k = 0 never ends the tail loop, k < 0 overflows, and a
+    fractional k or an eps of 0 or above 1 yields a number that means
+    nothing.  NaN and infinities fail the range comparison.
+    """
+    if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or k < 1:
+        raise ValidationError(f"k must be an integer >= 1, got {k!r}")
+    if eps is not None and not (isinstance(eps, numbers.Real) and 0.0 < eps < 1.0):
+        raise ValidationError(f"eps must be a finite number in (0, 1), got {eps!r}")
 
 
 def tail_bound(torus, R, k):
@@ -77,6 +83,7 @@ def tail_bound(torus, R, k):
 
     Requires R >= l1; monotone decreasing in both R and k.
     """
+    _check_power(k)
     l1 = _l1(torus)
     if R < l1 * (1.0 - 1e-12):
         raise ValueError(f"tail bound needs R >= shortest length {l1:.6g}, got {R:.6g}")
@@ -93,7 +100,21 @@ def tail_bound(torus, R, k):
 
 
 def truncation_radius(torus, k, eps):
-    """Minimal radius R with tail_bound(R, k) <= eps (to 1e-9 relative)."""
+    """Minimal radius R with tail_bound(R, k) <= eps (to 1e-9 relative).
+
+    The result depends on the torus, k and eps alone, so it is computed
+    once per torus and kept for as long as the torus lives.
+    """
+    _check_power(k, eps)
+    memo = _derived(torus)
+    key = ("radius", int(k), float(eps))
+    if key not in memo:
+        memo[key] = _bisect_radius(torus, k, eps)
+    return memo[key]
+
+
+def _bisect_radius(torus, k, eps):
+    """Grow-then-bisect search behind ``truncation_radius``."""
     l1 = _l1(torus)
     R = l1
     if tail_bound(torus, R, k) <= eps:
@@ -127,21 +148,12 @@ class _PreparedSum:
         self.k = k
         self.radius = radius
         self.scale = (k / TWO_PI) ** torus.n
-        vectors = enumerate_within(torus, radius, cap=cap)
-        self.terms = len(vectors)
-        sign = calibration_sign()
-        if vectors:
-            C = np.array([v.coords for v in vectors], dtype=np.int64)
-            lengths = np.array([v.length for v in vectors])
-            self.weights = np.exp(-0.25 * k * lengths ** 2)
-            # turn(x) = k*s*E(v, x) - k*chi_turns(v);  E(v, sum x_i lambda_i) = (C E) x
-            self.A = (k * sign) * (C @ torus.E)
-            self.chi_turns = k * chi_phase_turns(chi, torus, C)
-        else:
-            m = 2 * torus.n
-            self.weights = np.zeros(0)
-            self.A = np.zeros((0, m), dtype=np.int64)
-            self.chi_turns = np.zeros(0)
+        C, lengths = _enumerate_sorted(torus, radius, cap=cap)
+        self.terms = len(lengths)
+        self.weights = np.exp(-0.25 * k * lengths ** 2)
+        # turn(x) = k*s*E(v, x) - k*chi_turns(v);  E(v, sum x_i lambda_i) = (C E) x
+        self.A = (k * calibration_sign()) * (C @ torus.E)
+        self.chi_turns = k * chi_phase_turns(chi, torus, C)
         self.tail = tail_bound(torus, radius, k)
 
     def loop_sum(self, coords):
@@ -170,6 +182,7 @@ class _PreparedSum:
 
 
 def _prepare(torus, chi, k, eps=DEFAULT_EPS, radius=None, cap=ENUM_CAP):
+    _check_power(k, eps)
     R = radius if radius is not None else truncation_radius(torus, k, eps)
     R = max(R, _l1(torus))
     return _PreparedSum(torus, chi, k, R, cap=cap)
@@ -300,12 +313,13 @@ def offdiag_bound(torus, k, x, y, eps=DEFAULT_EPS, radius=None, cap=ENUM_CAP):
     the translate sum is enumerated to the same radius policy as the
     diagonal series and certified by the same packing tail.
     """
+    _check_power(k, eps)
     x = x if isinstance(x, TorusPoint) else TorusPoint.from_lift(torus, x)
     y = y if isinstance(y, TorusPoint) else TorusPoint.from_lift(torus, y)
     R = radius if radius is not None else truncation_radius(torus, k, eps)
     R = max(R, _l1(torus))
     delta = np.asarray(y.lift) - np.asarray(x.lift)
-    _, _, lengths = enumerate_shifted(torus, delta, R, cap=cap)
+    _, lengths = _enumerate_sorted(torus, R, offset=torus.coords_from_lift(delta), cap=cap)
     scale = (k / TWO_PI) ** torus.n
     value = scale * float(np.sum(np.exp(-0.25 * k * lengths ** 2)))
     return SeriesResult(value=value, radius=R, tail=tail_bound(torus, R, k),

@@ -28,6 +28,7 @@ value after construction, so instances can be shared across threads.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence
 
@@ -50,6 +51,17 @@ TOL_SHELL = 1e-9
 
 #: default cap on the number of enumerated lattice vectors
 ENUM_CAP = 500_000
+
+# Pure per-torus values (shortest length, truncation radii), computed on
+# first use.  Tori hash by identity and never change after construction,
+# so an entry is valid for exactly as long as its torus lives, and the
+# weak key drops it together with the torus.
+_DERIVED = weakref.WeakKeyDictionary()
+
+
+def _derived(torus):
+    """The memo dict of values derived from ``torus`` alone."""
+    return _DERIVED.setdefault(torus, {})
 
 
 def _pfaffian_int(E):
@@ -308,94 +320,138 @@ def _ball_count_estimate(torus, radius):
     return int(math.ceil(1.5 * ball / covol)) + m
 
 
-def _fp_enumerate(torus, radius, offset=None, cap=ENUM_CAP):
-    """Integer vectors c with ell(c + offset) <= radius, by the
-    Fincke-Pohst recursion on the Cholesky factor of the Gram matrix.
+def _fp_enumerate(torus, radius, offsets=None, cap=ENUM_CAP):
+    """Integer vectors c with ell(c + o) <= radius, for each row o of the
+    (Q, 2n) array ``offsets`` (one zero offset when None), by Fincke-Pohst
+    on the Cholesky factor of the Gram matrix.
 
-    Returns an (N, 2n) int array, unsorted.  The candidate search runs
-    with a slightly padded radius; callers apply the exact length filter.
+    The search runs level by level, from the last coordinate to the
+    first: every partial vector of one depth, for every offset, is
+    expanded over its admissible range in a single array step.  No step
+    makes more than ``cap`` rows, so memory stays O(cap) rows per level;
+    a level with more children than that is expanded in slices, depth
+    first.  Returns (coords, source): an (N, 2n) int array, unsorted, and
+    the offsets row each candidate belongs to.  The candidate search
+    runs with a slightly padded radius; callers apply the exact length
+    filter.
     """
     R = torus._require_chol()
     m = 2 * torus.n
-    off = np.zeros(m) if offset is None else np.asarray(offset, dtype=float)
+    offs = np.zeros((1, m)) if offsets is None else np.asarray(offsets, dtype=float)
     pad = radius * (1.0 + 1e-12) + 1e-12
     budget = pad * pad
-    out = []
-    c = np.zeros(m, dtype=np.int64)
+    min_rem = -1e-9 * budget - 1e-30
+    out, sources = [], []
+    found = 0
 
-    def rec(i, rem):
-        t = float(R[i, i + 1:] @ (c[i + 1:] + off[i + 1:])) if i + 1 < m else 0.0
+    def expand(i, C, src, rem):
+        nonlocal found
         rii = float(R[i, i])
-        half = math.sqrt(max(rem, 0.0))
-        lo = math.ceil((-half - t) / rii - off[i] - 1e-12)
-        hi = math.floor((half - t) / rii - off[i] + 1e-12)
-        for ci in range(lo, hi + 1):
-            c[i] = ci
-            s = rii * (ci + off[i]) + t
-            rem2 = rem - s * s
-            if rem2 < -1e-9 * budget - 1e-30:
-                continue
+        off = offs[src]
+        t = (C[:, i + 1:] + off[:, i + 1:]) @ R[i, i + 1:]
+        # row r may take c_i in [mid_r - half_r, mid_r + half_r]; rem >= 0
+        mid = -t / rii - off[:, i]
+        half = np.sqrt(rem) / rii + 1e-12
+        lo = np.ceil(mid - half)
+        counts = np.maximum(np.floor(mid + half) - lo + 1.0, 0.0).astype(np.int64)
+        ends = np.cumsum(counts)
+        total = int(ends[-1])
+        for start in range(0, total, cap):
+            child = np.arange(start, min(start + cap, total))
+            parent = np.searchsorted(ends, child, side="right")
+            ci = lo[parent] + (child - ends[parent] + counts[parent])
+            s = rii * (ci + off[parent, i]) + t[parent]
+            rem2 = rem[parent] - s * s
+            keep = rem2 >= min_rem
+            parent = parent[keep]
+            rows = C[parent]
+            rows[:, i] = ci[keep]
             if i == 0:
-                out.append(c.copy())
-                if len(out) > cap:
+                found += rows.shape[0]
+                if found > cap:
                     raise RadiusTooLarge(
                         f"enumeration inside radius {radius:.6g} exceeds cap {cap}",
                         required_cap=_ball_count_estimate(torus, radius),
                     )
-            else:
-                rec(i - 1, max(rem2, 0.0))
+                out.append(rows)
+                sources.append(src[parent])
+            elif rows.shape[0]:
+                expand(i - 1, rows, src[parent], np.maximum(rem2[keep], 0.0))
 
     if radius >= 0:
-        rec(m - 1, budget)
+        q = offs.shape[0]
+        expand(m - 1, np.zeros((q, m), dtype=np.int64), np.arange(q), np.full(q, budget))
     if not out:
-        return np.zeros((0, m), dtype=np.int64)
-    return np.array(out, dtype=np.int64)
+        return np.zeros((0, m), dtype=np.int64), np.zeros(0, dtype=np.int64)
+    return np.concatenate(out), np.concatenate(sources)
+
+
+def _enumerate_sorted(torus, radius, offset=None, cap=ENUM_CAP):
+    """Lattice coordinates c with ell(c + offset) <= radius, and their lengths.
+
+    Returns (coords, lengths) arrays ordered by length, ties broken
+    lexicographically on coordinates.  Without an offset the zero
+    vector is left out.
+    """
+    cand, _ = _fp_enumerate(torus, radius, None if offset is None else [offset], cap=cap)
+    if offset is None:
+        cand = cand[np.any(cand != 0, axis=1)]
+        u = cand
+    else:
+        u = cand + np.asarray(offset, dtype=float)
+    lengths = np.sqrt(np.maximum(np.einsum("ti,ij,tj->t", u, torus.gram, u), 0.0))
+    keep = lengths <= radius
+    cand, lengths = cand[keep], lengths[keep]
+    # lexsort's last key is the primary one: length, then c_1, c_2, ...
+    order = np.lexsort((*cand[:, ::-1].T, lengths))
+    return cand[order], lengths[order]
+
+
+def _lattice_vectors(torus, coords, lengths):
+    """LatticeVector objects for enumerated rows (the API edge).
+
+    Each embedding is computed row by row, as ``LatticeVector.from_coords``
+    does, so both constructions of one vector agree to the last bit.
+    """
+    return [LatticeVector(coords=tuple(int(x) for x in c), embedding=torus.embed(c),
+                          length=float(ell))
+            for c, ell in zip(coords, lengths)]
 
 
 def enumerate_within(torus, radius, cap=ENUM_CAP):
     """All nonzero lattice vectors with ell(v) <= radius.
 
     Sorted by length, ties broken lexicographically on coordinates.
-    Raises RadiusTooLarge when more than ``cap`` vectors would be
-    returned.
+    The search itself is array-native (see ``_enumerate_sorted``);
+    LatticeVector objects are built only here, for callers that want
+    them.  Nothing is cached here: only the shortest length and the
+    truncation radii are memoised per torus, and they are dropped with
+    the torus.  Raises RadiusTooLarge when the search meets more than
+    ``cap`` candidate vectors.
     """
-    cand = _fp_enumerate(torus, radius, cap=cap)
-    if cand.shape[0] == 0:
-        return []
-    nonzero = np.any(cand != 0, axis=1)
-    cand = cand[nonzero]
-    lengths = np.sqrt(np.maximum(np.einsum("ti,ij,tj->t", cand, torus.gram, cand), 0.0))
-    keep = lengths <= radius
-    cand, lengths = cand[keep], lengths[keep]
-    order = sorted(range(len(cand)), key=lambda i: (lengths[i], tuple(cand[i])))
-    return [
-        LatticeVector(coords=tuple(int(x) for x in cand[i]),
-                      embedding=torus.embed(cand[i]),
-                      length=float(lengths[i]))
-        for i in order
-    ]
+    return _lattice_vectors(torus, *_enumerate_sorted(torus, radius, cap=cap))
 
 
 def enumerate_shifted(torus, shift, radius, cap=ENUM_CAP):
     """All translates u = shift + v, v in Lambda, with ell(u) <= radius.
 
     ``shift`` is a vector in C^n.  Returns (coords, embeddings, lengths)
-    arrays sorted by length then coordinates; the zero translate is
+    arrays sorted by length then coordinates, from the same array core
+    as ``enumerate_within`` and likewise uncached; the zero translate is
     included when shift lies in the lattice.
     """
     off = torus.coords_from_lift(shift)
-    cand = _fp_enumerate(torus, radius, offset=off, cap=cap)
-    m = 2 * torus.n
-    if cand.shape[0] == 0:
-        return np.zeros((0, m), dtype=np.int64), np.zeros((0, torus.n), complex), np.zeros(0)
-    shifted = cand + off
-    lengths = np.sqrt(np.maximum(np.einsum("ti,ij,tj->t", shifted, torus.gram, shifted), 0.0))
-    keep = lengths <= radius
-    cand, shifted, lengths = cand[keep], shifted[keep], lengths[keep]
-    order = sorted(range(len(cand)), key=lambda i: (lengths[i], tuple(cand[i])))
-    order = np.array(order, dtype=np.int64) if order else np.zeros(0, dtype=np.int64)
-    emb = shifted[order] @ torus.basis if len(order) else np.zeros((0, torus.n), complex)
-    return cand[order], emb, lengths[order]
+    coords, lengths = _enumerate_sorted(torus, radius, offset=off, cap=cap)
+    return coords, (coords + off) @ torus.basis, lengths
+
+
+def _l1(torus):
+    """Shortest loop length, computed once per torus."""
+    memo = _derived(torus)
+    if "l1" not in memo:
+        start = math.sqrt(float(np.min(np.diag(torus.gram))))
+        memo["l1"] = float(_enumerate_sorted(torus, start * (1.0 + 1e-12))[1][0])
+    return memo["l1"]
 
 
 def shells(torus, tol_shell=TOL_SHELL, cap=ENUM_CAP):
@@ -407,16 +463,12 @@ def shells(torus, tol_shell=TOL_SHELL, cap=ENUM_CAP):
     as many vectors as its real span's dimension, each member is checked
     to be primitive.
     """
-    start = math.sqrt(float(np.min(np.diag(torus.gram))))
-    vecs = enumerate_within(torus, start * (1.0 + 1e-12), cap=cap)
-    l1 = vecs[0].length
-    vecs = enumerate_within(torus, 2.0 * l1 * (1.0 + 1e-9), cap=cap)
-    band = l1 * (1.0 + tol_shell)
-    S1 = [v for v in vecs if v.length <= band]
-    rest = [v.length for v in vecs if v.length > band]
-    l2 = min(rest) if rest else 2.0 * l1
-    span = np.array([v.coords for v in S1], dtype=float)
-    if len(S1) == 2 * np.linalg.matrix_rank(span):
+    l1 = _l1(torus)
+    coords, lengths = _enumerate_sorted(torus, 2.0 * l1 * (1.0 + 1e-9), cap=cap)
+    inner = int(np.searchsorted(lengths, l1 * (1.0 + tol_shell), side="right"))
+    S1 = _lattice_vectors(torus, coords[:inner], lengths[:inner])
+    l2 = float(lengths[inner]) if inner < len(lengths) else 2.0 * l1
+    if len(S1) == 2 * np.linalg.matrix_rank(coords[:inner].astype(float)):
         for v in S1:
             if math.gcd(*[abs(c) for c in v.coords]) != 1:
                 raise AssertionError(f"first-shell vector {v.coords} is imprimitive")
@@ -504,12 +556,24 @@ def product_torus(a, b):
 
 def torus_distance(torus, p, q):
     """Geodesic distance between two torus points, by translate search."""
-    delta = np.asarray(q.lift, dtype=complex) - np.asarray(p.lift, dtype=complex)
-    off = torus.coords_from_lift(delta)
-    wrapped = off - np.rint(off)
-    r0 = torus.length_of(torus.embed(wrapped)) * (1.0 + 1e-9) + 1e-12
-    _, _, lengths = enumerate_shifted(torus, delta, r0)
-    return float(lengths[0])
+    return _nearest_distance(torus, p, [q])
+
+
+def _nearest_distance(torus, p, targets):
+    """Geodesic distance from p to the nearest of the torus points
+    ``targets``, by one translate search over all of them.
+
+    The shortest wrapped difference bounds the answer from above, so one
+    search of that radius around every target's offset finds it.
+    """
+    base = np.asarray(p.lift, dtype=complex)
+    offs = np.array([torus.coords_from_lift(np.asarray(q.lift, dtype=complex) - base)
+                     for q in targets])
+    wrapped = offs - np.rint(offs)
+    reach = min(torus.length_of(torus.embed(w)) for w in wrapped) * (1.0 + 1e-9) + 1e-12
+    cand, src = _fp_enumerate(torus, reach, offsets=offs)
+    u = cand + offs[src]
+    return float(np.min(np.sqrt(np.maximum(np.einsum("ti,ij,tj->t", u, torus.gram, u), 0.0))))
 
 
 def rotation_to_cylinder_axis(v):

@@ -117,3 +117,16 @@ def _audited_prepare(torus, chi, k, *args, **kwargs):
 
 _kernel._prepare = _audited_prepare
 _extrema._prepare = _audited_prepare
+
+
+def pytest_sessionfinish(session, exitstatus):
+    """Fail a session that ran the series tests while the audit saw no
+    preparation: the wrapper above would then be auditing nothing."""
+    ran_series = any(item.module.__name__ == "test_kernel" for item in session.items)
+    if ran_series and TRUNCATION_AUDIT["checked"] == 0:
+        writer = session.config.get_terminal_writer()
+        writer.line()
+        writer.line(
+            "FAILED truncation audit: no preparation was checked, the _prepare "
+            "wrapper is bypassed", red=True)
+        session.exitstatus = pytest.ExitCode.TESTS_FAILED

@@ -2,6 +2,9 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -167,3 +170,23 @@ def test_hol_requires_vector(tmp_path, capsys):
 def test_unknown_command_exits():
     with pytest.raises(SystemExit):
         main(["frobnicate"])
+
+
+@pytest.mark.parametrize("command,flags", [
+    ("rho", ["--k", "0"]), ("rho", ["--k", "-1"]), ("rho", ["--eps", "0"]),
+    ("rho", ["--eps", "-1"]), ("cylinder", ["--k", "0"]),
+])
+def test_bad_power_or_eps_exits_1_without_traceback(tmp_path, command, flags):
+    """A fresh interpreter, so a hang shows as a timeout and a traceback
+    as stderr text; --k 0 used to fall back to the config's k (to 1 for
+    cylinder)."""
+    cfg = write_config(tmp_path)
+    src = os.path.dirname(os.path.dirname(tk.__file__))
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    proc = subprocess.run(
+        [sys.executable, "-m", "toruskernel", command, "--config", cfg, "--point", "0.25,0.5",
+         *flags], capture_output=True, text=True, timeout=60, env=env)
+    assert proc.returncode == 1
+    assert "ValidationError" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""

@@ -216,3 +216,52 @@ def test_offdiag_bound_brute_translates(sq1):
                 total += math.exp(-0.25 * ell ** 2)
     total /= TWO_PI
     assert abs(r.value - total) < 1e-12 * total
+
+
+# -- input contract -----------------------------------------------------------
+# k must be an integer >= 1 and eps a finite number in (0, 1).  Before the
+# contract, k = 0 never returned (the tail loop's term never shrinks),
+# k = -1 overflowed, and k = 1.5 was evaluated silently.
+
+_CHI = tk.Semicharacter.trivial(1)
+
+
+def _pt(torus):
+    return tk.TorusPoint.from_coords(torus, np.array([0.25, 0.5]))
+
+
+_CALLERS = {
+    "rho_diag": lambda t, k, eps: tk.rho_diag(t, _CHI, k, _pt(t), eps=eps),
+    "rho_gradient": lambda t, k, eps: tk.rho_gradient(t, _CHI, k, _pt(t), eps=eps),
+    "offdiag_bound": lambda t, k, eps: tk.offdiag_bound(t, k, tk.TorusPoint.zero(t), _pt(t),
+                                                        eps=eps),
+    "rho_grid": lambda t, k, eps: tk.rho_grid(t, _CHI, k, 8, eps=eps),
+    "integral_check": lambda t, k, eps: tk.integral_check(t, _CHI, k, resolution=8, eps=eps),
+    "find_extrema": lambda t, k, eps: tk.find_extrema(t, _CHI, k, resolution=16, eps=eps),
+    "compare_bundles": lambda t, k, eps: tk.compare_bundles(t, _CHI, tk.Semicharacter((0.5, 0.0)),
+                                                            k, resolution=8, eps=eps),
+    "truncation_radius": lambda t, k, eps: tk.truncation_radius(t, k, eps),
+}
+_BAD = [(0, 1e-10), (-1, 1e-10), (1.5, 1e-10), (2.0, 1e-10), (True, 1e-10),
+        (1, 0.0), (1, 1.0), (1, -1e-3), (1, float("nan")), (1, float("inf"))]
+
+
+@pytest.mark.parametrize("caller", sorted(_CALLERS))
+@pytest.mark.parametrize("k,eps", _BAD)
+def test_bad_power_or_eps_is_a_validation_error(caller, k, eps):
+    torus = tk.standard_torus(0.1 + 1.1j, 1)
+    with pytest.raises(tk.ValidationError):
+        _CALLERS[caller](torus, k, eps)
+    # the contract is checked before any per-torus value is computed
+    assert torus not in tk.lattice._DERIVED
+
+
+@pytest.mark.parametrize("k", [0, -1, 1.5])
+def test_tail_bound_rejects_bad_power(sq1, k):
+    with pytest.raises(tk.ValidationError):
+        tk.tail_bound(sq1, 10.0, k)
+
+
+def test_numpy_integer_power_accepted(sq1):
+    p = _pt(sq1)
+    assert tk.rho_diag(sq1, _CHI, np.int64(2), p) == tk.rho_diag(sq1, _CHI, 2, p)

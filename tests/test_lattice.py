@@ -1,12 +1,18 @@
 """Lattice layer: validation, enumeration, shells, semicharacters."""
 
+import gc
 import itertools
 import math
+import weakref
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import toruskernel as tk
+import toruskernel.kernel as _kernel
+import toruskernel.lattice as _lattice
 
 from conftest import random_chi, random_torus
 
@@ -113,6 +119,95 @@ def test_enumeration_cap_raises():
     assert exc.value.required_cap > 100
 
 
+def test_shifted_enumeration_cap_raises(skew):
+    with pytest.raises(tk.RadiusTooLarge) as exc:
+        tk.enumerate_shifted(skew, skew.embed(np.array([0.3, 0.4])), 300.0, cap=100)
+    assert exc.value.required_cap > 100
+
+
+# The n = 2 surfaces of the order test: a product of two elliptic curves,
+# and a generic principally polarized surface (basis [I; Z^T], H = (Im Z)^-1).
+_Z = np.array([[0.2 + 1.1j, 0.3 + 0.25j], [0.3 + 0.25j, 0.1 + 0.9j]])
+_SURFACES = (
+    tk.product_torus(tk.standard_torus(1j, 1), tk.standard_torus(0.3 + 1.2j, 1)),
+    tk.PolarizedTorus(n=2, basis=np.vstack([np.eye(2), _Z.T]), H=np.linalg.inv(_Z.imag)),
+)
+_n1_tori = st.builds(
+    lambda re, im, d: tk.standard_torus(complex(re, im), d),
+    st.floats(-3.0, 3.0), st.floats(0.3, 2.5), st.integers(1, 3),
+)
+
+
+def _brute_sorted(torus, radius, off):
+    """Every row of a coordinate box that holds the ball, filtered by the
+    exact length test and sorted by Python's sorted on (length, coords).
+
+    Lengths use the enumerator's quadratic-form expression, so ties
+    between equally long vectors compare the same bits on both sides.
+    """
+    m = 2 * torus.n
+    # |c_i + off_i| <= radius * sqrt((G^-1)_ii) on the ellipsoid
+    reach = radius * np.sqrt(np.diag(np.linalg.inv(torus.gram)))
+    lo = np.floor(-reach - off).astype(int) - 1
+    hi = np.ceil(reach - off).astype(int) + 1
+    box = np.array(list(itertools.product(*(range(a, b + 1) for a, b in zip(lo, hi)))))
+    u = box + off
+    lengths = np.sqrt(np.maximum(np.einsum("ti,ij,tj->t", u, torus.gram, u), 0.0))
+    rows = [(float(ell), tuple(int(x) for x in c)) for c, ell in zip(box, lengths)
+            if ell <= radius]
+    return sorted(rows)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    torus=st.one_of(_n1_tori, st.sampled_from(_SURFACES)),
+    reach=st.floats(1.0, 2.5),
+    shift=st.none() | st.lists(st.floats(0.0, 1.0), min_size=4, max_size=4),
+)
+@example(torus=tk.standard_torus(2.5 + 0.4j, 1), reach=2.5, shift=None)
+@example(torus=tk.standard_torus(2.5 + 0.4j, 1), reach=2.5, shift=[0.3, 0.7, 0.0, 0.0])
+def test_enumeration_order_matches_sorted_brute_force(torus, reach, shift):
+    """Both public enumerators return the brute-force rows in Python's
+    length-then-lex order, with and without a shift."""
+    m = 2 * torus.n
+    l1 = tk.shells(torus).l1
+    radius = reach * l1 * (1.5 if torus.n == 1 else 1.0)
+    if shift is None:
+        want = [row for row in _brute_sorted(torus, radius, np.zeros(m)) if any(row[1])]
+        got = [(v.length, v.coords) for v in tk.enumerate_within(torus, radius)]
+    else:
+        off = torus.coords_from_lift(torus.embed(np.array(shift[:m])))
+        want = _brute_sorted(torus, radius, off)
+        coords, _, lengths = tk.enumerate_shifted(torus, torus.embed(np.array(shift[:m])), radius)
+        got = [(float(ell), tuple(int(x) for x in c)) for c, ell in zip(coords, lengths)]
+    assert got == want
+
+
+def test_truncation_radius_memo_is_exact_and_dies_with_torus():
+    torus = tk.standard_torus(0.4 + 1.3j, 2)
+    for k, eps in ((1, 1e-10), (3, 1e-8), (np.int64(2), 1e-12)):
+        fresh = _kernel._bisect_radius(torus, k, eps)
+        assert tk.truncation_radius(torus, k, eps).hex() == fresh.hex()
+        assert tk.truncation_radius(torus, k, eps).hex() == fresh.hex()    # memo hit
+    assert torus in _lattice._DERIVED
+    alive = weakref.ref(torus)
+    gc.collect()
+    before = len(_lattice._DERIVED)
+    del torus
+    gc.collect()
+    assert alive() is None
+    assert len(_lattice._DERIVED) == before - 1
+
+
+def test_shells_l1_is_the_shortest_enumerated_length(skew, rect):
+    for torus in (skew, rect, _SURFACES[1]):
+        sh = tk.shells(torus)
+        vecs = tk.enumerate_within(torus, 2.0 * sh.l1)
+        assert sh.l1 == vecs[0].length
+        assert [v.coords for v in sh.S1] == [v.coords for v in vecs[:len(sh.S1)]]
+        assert sh.l2 == vecs[len(sh.S1)].length
+
+
 def test_shells_square(sq1):
     sh = tk.shells(sq1)
     assert abs(sh.l1 - math.sqrt(TWO_PI)) < 1e-12
@@ -175,6 +270,16 @@ def test_torus_distance(sq1):
     r = tk.TorusPoint.from_coords(sq1, np.array([0.9, 0.0]))
     assert abs(tk.torus_distance(sq1, p, r) - 0.1 * math.sqrt(TWO_PI)) < 1e-12
     assert tk.torus_distance(sq1, p, p) < 1e-15
+
+
+def test_nearest_distance_is_min_of_pairwise(rng, skew):
+    """One batched translate search gives the pairwise minimum exactly."""
+    for torus in (skew, tk.standard_torus(2.5 + 0.4j, 2), _SURFACES[1]):
+        m = 2 * torus.n
+        p = tk.TorusPoint.from_coords(torus, rng.random(m))
+        targets = [tk.TorusPoint.from_coords(torus, rng.random(m)) for _ in range(40)]
+        want = min(tk.torus_distance(torus, p, q) for q in targets)
+        assert _lattice._nearest_distance(torus, p, targets) == want
 
 
 def test_product_torus(sq1, d2):
