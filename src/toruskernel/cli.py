@@ -117,8 +117,7 @@ def _cmd_rho(args):
 def _cmd_grid(args):
     bundle = load_bundle(args.config)
     k = _power(args, bundle)
-    field = rho_grid(bundle.torus, bundle.chi, k, args.res, eps=args.eps,
-                     radius=args.radius, threads=args.threads)
+    field = rho_grid(bundle.torus, bundle.chi, k, args.res, eps=args.eps, radius=args.radius)
     fh = _out_stream(args)
     field.write_csv(fh or sys.stdout)
     if fh:
@@ -154,7 +153,7 @@ def _cmd_compare(args):
     phases = _parse_floats(args.chi2, 2 * bundle.torus.n, "--chi2")
     k = _power(args, bundle)
     cmp = compare_bundles(bundle.torus, bundle.chi, Semicharacter(tuple(phases)), k,
-                          resolution=args.res, eps=args.eps, threads=args.threads)
+                          resolution=args.res, eps=args.eps)
     lines = [
         f"verdict = {cmp.verdict}",
         f"max_diff = {_fmt(cmp.max_diff)}",
@@ -186,8 +185,7 @@ def _cmd_cylinder(args):
 def _cmd_extrema(args):
     bundle = load_bundle(args.config)
     k = _power(args, bundle)
-    mx, mn = find_extrema(bundle.torus, bundle.chi, k, resolution=args.res,
-                          threads=args.threads)
+    mx, mn = find_extrema(bundle.torus, bundle.chi, k, resolution=args.res)
     lines = []
     for rep in (mx, mn):
         lines.append(f"{rep.kind}_value = {_fmt(rep.value)}")
@@ -201,7 +199,7 @@ def _cmd_extrema(args):
 def _cmd_rigidity(args):
     bundle = load_bundle(args.config)
     rows = localization_sweep(bundle.torus, bundle.chi, range(args.kmin, args.kmax + 1),
-                              resolution=args.res, threads=args.threads)
+                              resolution=args.res)
     _csv_rows(args, ["k", "dist", "bound", "ratio"],
               [(r.k, r.dist, r.bound, r.ratio) for r in rows])
     return 0
@@ -266,7 +264,6 @@ def build_parser():
         p.add_argument("--k", type=int, default=None, help="power override")
         p.add_argument("--eps", type=float, default=1e-10, help="series tail target")
         p.add_argument("--res", type=int, default=32, help="grid resolution")
-        p.add_argument("--threads", type=int, default=None, help="worker threads for grids")
         p.add_argument("--radius", type=float, default=None,
                        help="override the series truncation radius")
         p.add_argument("--point", help="comma-separated lattice coordinates")

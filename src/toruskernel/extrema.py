@@ -9,8 +9,8 @@ Three capabilities built on the loop sum:
   complete solution set (finite when the vectors span, a flagged family
   otherwise).
 
-* ``find_extrema`` locates density extrema by grid scan, derivative-free
-  refinement, and a Newton polish on the analytic gradient, then reports
+* ``find_extrema`` locates density extrema by grid scan and damped
+  Newton refinement on the analytic gradient and Hessian, then reports
   the distance to the nearest holonomy-congruence prediction: maxima
   track holonomy +1 on the first shell, minima holonomy -1, and the
   agreement sharpens like exp((k/4)(l1^2 - l2^2)) as k grows, which
@@ -33,16 +33,15 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize
 
 from .errors import FitResidualTooLarge, InconsistentSystem
 from .holonomy import calibration_sign
 from .intlin import extended_gcd_row, smith_normal_form
-from .kernel import DEFAULT_EPS, _prepare, _grid_values
+from .kernel import DEFAULT_EPS, _check_resolution, _grid_values, _prepare
 from .lattice import (
     TWO_PI,
-    LatticeVector,
     TorusPoint,
+    _as_vector,
     _nearest_distance,
     chi_phase_turns,
     shells,
@@ -76,8 +75,7 @@ def solve_holonomy(torus, chi, target, mesh=8):
     """
     k = target.k
     sign = calibration_sign()
-    vecs = [v if isinstance(v, LatticeVector) else LatticeVector.from_coords(torus, v)
-            for v in target.vectors]
+    vecs = [_as_vector(torus, v) for v in target.vectors]
     m = len(vecs)
     two_n = 2 * torus.n
     if m == 0:
@@ -162,52 +160,45 @@ def _predicted_points(torus, chi, k, kind, mesh=8):
     return solve_holonomy(torus, chi, target, mesh=mesh)
 
 
-def _newton_polish(prep, x0, kind, iters):
+def _refine_candidate(prep, x0, kind, iters):
+    """Damped Newton ascent on f = +rho (maxima) or -rho (minima) from x0.
+
+    The step solves H s = -g; when H is singular or s does not point
+    uphill (g.s <= 0), the step is g scaled to the cap, since on a flat
+    landscape g itself is too short to change f in floating point.  A
+    step is capped at max-norm 0.25 and halved until f strictly improves;
+    the search ends when no step down to 2^-50 improves, or after
+    ``iters`` steps.  Returns the point reduced mod 1 and its density.
+    """
+    sgn = 1.0 if kind == "max" else -1.0
     x = np.array(x0, dtype=float)
-    best_v = prep.density(x)
-    want_max = kind == "max"
+    f = sgn * float(prep.density(x))
     for _ in range(iters):
-        g = prep.gradient(x)
-        H = prep.hessian(x)
-        try:
-            step = np.linalg.solve(H, -g)
-        except np.linalg.LinAlgError:
+        g = sgn * prep.gradient(x)
+        g_max = float(np.max(np.abs(g)))
+        if g_max == 0.0:
             break
+        try:
+            step = np.linalg.solve(sgn * prep.hessian(x), -g)
+        except np.linalg.LinAlgError:
+            step = np.zeros_like(g)
+        if not g @ step > 0.0:
+            step = g / g_max
         limit = float(np.max(np.abs(step)))
         if limit > 0.25:
             step *= 0.25 / limit
-        cand = x + step
-        v = prep.density(cand)
-        if (v > best_v) == want_max and v != best_v:
-            x, best_v = cand, v
-        elif float(np.linalg.norm(g)) < 1e-305:
-            break
+        while np.max(np.abs(step)) >= 2.0 ** -50:
+            f_new = sgn * float(prep.density(x + step))
+            if f_new > f:
+                break
+            step *= 0.5
         else:
             break
-    return x, float(best_v)
+        x, f = x + step, f_new
+    return x % 1.0, sgn * f
 
 
-def _refine_candidate(prep, x0, kind, iters):
-    want_max = kind == "max"
-    sgn = -1.0 if want_max else 1.0
-    best_x = np.array(x0, dtype=float)
-    best_v = float(prep.density(best_x))
-
-    res = optimize.minimize(
-        lambda x: sgn * prep.density(x), best_x, method="Nelder-Mead",
-        options={"maxiter": iters * 10, "xatol": 1e-11, "fatol": 1e-15},
-    )
-    v = float(prep.density(res.x))
-    if (v > best_v) if want_max else (v < best_v):
-        best_x, best_v = np.array(res.x), v
-
-    x, v = _newton_polish(prep, best_x, kind, iters=12)
-    if (v > best_v) if want_max else (v < best_v):
-        best_x, best_v = x, v
-    return best_x % 1.0, best_v
-
-
-def find_extrema(torus, chi, k, resolution=32, refine_iters=64, eps=1e-12, threads=None):
+def find_extrema(torus, chi, k, resolution=32, refine_iters=64, eps=1e-12):
     """Global density extrema with holonomy-congruence predictions.
 
     Returns (max_report, min_report).  All grid cells within 1e-9 of the
@@ -215,10 +206,9 @@ def find_extrema(torus, chi, k, resolution=32, refine_iters=64, eps=1e-12, threa
     the even-pairing case, where several half-period points tie) is
     preserved.
     """
-    if resolution < 16:
-        raise ValueError("resolution must be at least 16")
+    _check_resolution(resolution, 16)
     prep = _prepare(torus, chi, k, eps=eps)
-    values = _grid_values(prep, resolution, threads=threads)
+    values = _grid_values(prep, resolution)
     sh = shells(torus)
     window = math.exp(0.25 * k * (sh.l1 ** 2 - sh.l2 ** 2))
 
@@ -256,13 +246,12 @@ class LocalizationRow:
     ratio: float
 
 
-def localization_sweep(torus, chi, ks, resolution=32, refine_iters=64, threads=None):
+def localization_sweep(torus, chi, ks, resolution=32, refine_iters=64):
     """Distance from the refined argmax to the nearest holonomy-1 point,
     against the two-shell localization window, for each k."""
     rows = []
     for k in ks:
-        mx, _ = find_extrema(torus, chi, k, resolution=resolution,
-                             refine_iters=refine_iters, threads=threads)
+        mx, _ = find_extrema(torus, chi, k, resolution=resolution, refine_iters=refine_iters)
         rows.append(LocalizationRow(k=int(k), dist=mx.distance, bound=mx.window,
                                     ratio=mx.distance / mx.window))
     return rows
@@ -293,7 +282,7 @@ def pushforward_fit(torus, chi, k, v1, samples=256, profile_samples=None, eps=1e
     spectral peak is reported alongside, and a residual above 1e-6 of
     the fundamental amplitude raises FitResidualTooLarge.
     """
-    v1 = v1 if isinstance(v1, LatticeVector) else LatticeVector.from_coords(torus, v1)
+    v1 = _as_vector(torus, v1)
     two_n = 2 * torus.n
     row = np.array(v1.coords, dtype=object) @ np.array(torus.E, dtype=object)
     if all(int(x) == 0 for x in row):
@@ -359,8 +348,7 @@ class BundleComparison:
     recovered: tuple | None
 
 
-def compare_bundles(torus, chi_a, chi_b, k, resolution=32, eps=DEFAULT_EPS, samples=256,
-                    threads=None):
+def compare_bundles(torus, chi_a, chi_b, k, resolution=32, eps=DEFAULT_EPS, samples=256):
     """Decide whether two bundles have the same k-th power density.
 
     A grid maximum of |rho_a - rho_b| above the certified series error
@@ -368,10 +356,11 @@ def compare_bundles(torus, chi_a, chi_b, k, resolution=32, eps=DEFAULT_EPS, samp
     of the k-th powers on every basis loop are compared; agreement means
     the powers are isomorphic even when the bundles themselves differ.
     """
+    _check_resolution(resolution, 2)
     prep_a = _prepare(torus, chi_a, k, eps=eps)
     prep_b = _prepare(torus, chi_b, k, eps=eps)
-    va = _grid_values(prep_a, resolution, threads=threads)
-    vb = _grid_values(prep_b, resolution, threads=threads)
+    va = _grid_values(prep_a, resolution)
+    vb = _grid_values(prep_b, resolution)
     diff = np.abs(va - vb)
     idx = np.unravel_index(int(np.argmax(diff)), diff.shape)
     max_diff = float(diff[idx])

@@ -31,6 +31,8 @@ from .lattice import (
     LatticeVector,
     Semicharacter,
     TorusPoint,
+    _as_point,
+    _as_vector,
     automorphy_factor,
     chi_phase_turns,
     standard_torus,
@@ -59,18 +61,6 @@ class CalibrationReport:
 
 _CAL_LOCK = threading.Lock()
 _CALIBRATION: CalibrationReport | None = None
-
-
-def _as_vector(torus, v):
-    if isinstance(v, LatticeVector):
-        return v
-    return LatticeVector.from_coords(torus, v)
-
-
-def _as_point(torus, p):
-    if isinstance(p, TorusPoint):
-        return p
-    return TorusPoint.from_lift(torus, p)
 
 
 def _loop_pairing(torus, v, p):

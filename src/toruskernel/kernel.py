@@ -30,7 +30,6 @@ from __future__ import annotations
 import csv
 import math
 import numbers
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,7 +39,7 @@ from .holonomy import calibration_sign
 from .lattice import (
     ENUM_CAP,
     TWO_PI,
-    TorusPoint,
+    _as_point,
     _derived,
     _enumerate_sorted,
     _l1,
@@ -195,7 +194,7 @@ def rho_diag(torus, chi, k, p, eps=DEFAULT_EPS, radius=None, cap=ENUM_CAP):
     is below eps, unless ``radius`` overrides it.
     """
     prep = _prepare(torus, chi, k, eps=eps, radius=radius, cap=cap)
-    p = p if isinstance(p, TorusPoint) else TorusPoint.from_lift(torus, p)
+    p = _as_point(torus, p)
     value = prep.density(np.asarray(p.coords))
     return SeriesResult(value=float(value), radius=prep.radius, tail=prep.tail, terms=prep.terms)
 
@@ -203,7 +202,7 @@ def rho_diag(torus, chi, k, p, eps=DEFAULT_EPS, radius=None, cap=ENUM_CAP):
 def rho_gradient(torus, chi, k, p, eps=DEFAULT_EPS, radius=None):
     """Gradient of the truncated density in lattice coordinates."""
     prep = _prepare(torus, chi, k, eps=eps, radius=radius)
-    p = p if isinstance(p, TorusPoint) else TorusPoint.from_lift(torus, p)
+    p = _as_point(torus, p)
     return prep.gradient(np.asarray(p.coords))
 
 
@@ -212,24 +211,19 @@ def _grid_coords(n, resolution):
     return axes.astype(float) / resolution
 
 
-def _grid_values(prep, resolution, threads=None):
+def _check_resolution(resolution, least):
+    if resolution < least:
+        raise ValidationError(f"resolution must be at least {least}, got {resolution!r}")
+
+
+def _grid_values(prep, resolution):
+    """Density on the full grid, evaluated in chunks of 16384 points."""
     n = prep.torus.n
     pts = _grid_coords(n, resolution)
-    total = pts.shape[0]
-    chunk = max(1, min(total, 1 << 14))
-    ranges = [(i, min(i + chunk, total)) for i in range(0, total, chunk)]
-    out = np.empty(total)
-
-    def work(span):
-        a, b = span
-        out[a:b] = prep.density(pts[a:b])
-
-    if threads and threads > 1 and len(ranges) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(work, ranges))
-    else:
-        for span in ranges:
-            work(span)
+    out = np.empty(pts.shape[0])
+    chunk = 1 << 14
+    for a in range(0, len(out), chunk):
+        out[a:a + chunk] = prep.density(pts[a:a + chunk])
     return out.reshape((resolution,) * (2 * n))
 
 
@@ -254,12 +248,6 @@ class GridField:
         idx = np.unravel_index(flat, self.values.shape)
         return tuple(i / self.resolution for i in idx), float(self.values[idx])
 
-    def min_summary(self):
-        return self.argbest("min")
-
-    def max_summary(self):
-        return self.argbest("max")
-
     def write_csv(self, fh):
         cols = [f"coord_{i + 1}" for i in range(2 * self.n)]
         writer = csv.writer(fh, lineterminator="\n")
@@ -271,32 +259,29 @@ class GridField:
             writer.writerow(row + [f"{self.values[idx]:.17g}", f"{hw:.17g}"])
 
 
-def rho_grid(torus, chi, k, resolution, eps=DEFAULT_EPS, radius=None, threads=None, cap=ENUM_CAP):
+def rho_grid(torus, chi, k, resolution, eps=DEFAULT_EPS, radius=None, cap=ENUM_CAP):
     """Density on the full coordinate grid; one enumeration serves every
-    point, and rows may be evaluated in parallel threads (results are
-    assembled by index, so the output never depends on thread count)."""
-    if resolution < 2:
-        raise ValueError("resolution must be at least 2")
+    point."""
+    _check_resolution(resolution, 2)
     prep = _prepare(torus, chi, k, eps=eps, radius=radius, cap=cap)
-    values = _grid_values(prep, resolution, threads=threads)
+    values = _grid_values(prep, resolution)
     values.setflags(write=False)
     return GridField(values=values, resolution=resolution, n=torus.n, k=k,
                      radius=prep.radius, tail=prep.tail)
 
 
-def integral_check(torus, chi, k, resolution=128, eps=1e-12, threads=None):
+def integral_check(torus, chi, k, resolution=128, eps=1e-12):
     """Riemann integral of the density against the section count.
 
     Returns (integral, expected) with expected = k^n * |Pf(E)|.  The
     grid mean is compared against the half-resolution mean; a change
     above 1e-3 * expected raises QuadratureUnconverged.
     """
-    if resolution < 8:
-        raise ValueError("resolution must be at least 8")
+    _check_resolution(resolution, 8)
     expected = float(k ** torus.n * torus.pfaffian_abs())
     prep = _prepare(torus, chi, k, eps=eps)
-    coarse = float(np.mean(_grid_values(prep, resolution // 2, threads=threads)))
-    fine = float(np.mean(_grid_values(prep, resolution, threads=threads)))
+    coarse = float(np.mean(_grid_values(prep, resolution // 2)))
+    fine = float(np.mean(_grid_values(prep, resolution)))
     vol = torus.volume()
     if abs(fine - coarse) * vol > 1e-3 * expected:
         raise QuadratureUnconverged(
@@ -314,8 +299,8 @@ def offdiag_bound(torus, k, x, y, eps=DEFAULT_EPS, radius=None, cap=ENUM_CAP):
     diagonal series and certified by the same packing tail.
     """
     _check_power(k, eps)
-    x = x if isinstance(x, TorusPoint) else TorusPoint.from_lift(torus, x)
-    y = y if isinstance(y, TorusPoint) else TorusPoint.from_lift(torus, y)
+    x = _as_point(torus, x)
+    y = _as_point(torus, y)
     R = radius if radius is not None else truncation_radius(torus, k, eps)
     R = max(R, _l1(torus))
     delta = np.asarray(y.lift) - np.asarray(x.lift)

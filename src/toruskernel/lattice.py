@@ -27,6 +27,7 @@ value after construction, so instances can be shared across threads.
 
 from __future__ import annotations
 
+import cmath
 import math
 import weakref
 from dataclasses import dataclass, field
@@ -39,6 +40,7 @@ from .errors import (
     IntegralityViolation,
     NotPositiveDefinite,
     RadiusTooLarge,
+    ValidationError,
 )
 
 TWO_PI = 2.0 * math.pi
@@ -179,6 +181,13 @@ class PolarizedTorus:
         return self._chol_upper
 
 
+def _check_finite(values, what):
+    """Raise ValidationError on NaN or inf among Python numbers, which
+    would reach a density as a silent NaN."""
+    if not all(map(cmath.isfinite, values)):
+        raise ValidationError(f"{what} must be finite, got {values}")
+
+
 @dataclass(frozen=True, eq=False)
 class LatticeVector:
     """A lattice element with its integer coordinates, embedding and length."""
@@ -205,8 +214,9 @@ class Semicharacter:
     phases: tuple
 
     def __post_init__(self):
-        p = tuple(float(x) % 1.0 for x in self.phases)
-        object.__setattr__(self, "phases", p)
+        p = tuple(float(x) for x in self.phases)
+        _check_finite(p, "semicharacter phases")
+        object.__setattr__(self, "phases", tuple(x % 1.0 for x in p))
 
     @classmethod
     def trivial(cls, n):
@@ -225,6 +235,7 @@ class TorusPoint:
         x = np.asarray(coords, dtype=float)
         if x.shape != (2 * torus.n,):
             raise ValueError(f"coords must have length {2 * torus.n}")
+        _check_finite(x.tolist(), "point coordinates")
         lift = torus.embed(x)
         lift.setflags(write=False)
         return cls(lift=lift, coords=tuple(float(v % 1.0) for v in x))
@@ -232,6 +243,7 @@ class TorusPoint:
     @classmethod
     def from_lift(cls, torus, z):
         z = np.asarray(z, dtype=complex).reshape(torus.n)
+        _check_finite(z.tolist(), "point lift")
         z = z.copy()
         z.setflags(write=False)
         x = torus.coords_from_lift(z)
@@ -240,6 +252,20 @@ class TorusPoint:
     @classmethod
     def zero(cls, torus):
         return cls.from_coords(torus, np.zeros(2 * torus.n))
+
+
+def _as_point(torus, p):
+    """A TorusPoint as is, anything else read as a lift in C^n."""
+    if isinstance(p, TorusPoint):
+        return p
+    return TorusPoint.from_lift(torus, p)
+
+
+def _as_vector(torus, v):
+    """A LatticeVector as is, anything else read as integer coordinates."""
+    if isinstance(v, LatticeVector):
+        return v
+    return LatticeVector.from_coords(torus, v)
 
 
 class ValidationReport(NamedTuple):
@@ -495,6 +521,9 @@ def chi_phase_turns(chi, torus, coords):
     correction S = sum_{i<j} c_i c_j E[i][j]; the half-integer part is
     exact, so powers of chi keep their exact signs.
     """
+    if len(chi.phases) != 2 * torus.n:
+        raise ValidationError(
+            f"semicharacter needs {2 * torus.n} phases, got {len(chi.phases)}")
     C = np.asarray(coords, dtype=np.int64)
     single = C.ndim == 1
     C = np.atleast_2d(C)

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CharacteristicSolveFailed, CutoffTooSmall, SingularGram
-from .lattice import TWO_PI, Semicharacter, TorusPoint, automorphy_factor, standard_torus
+from .lattice import TWO_PI, Semicharacter, _as_point, automorphy_factor, standard_torus
 
 RESIDUAL_TOL = 1e-9
 TAIL_TOL = 1e-14
@@ -201,7 +201,7 @@ def build_gram(basis, quad_res=128):
 
 def rho_oracle(basis, gram, p):
     """Bergman density at a torus point from the section basis."""
-    p = p if isinstance(p, TorusPoint) else TorusPoint.from_lift(basis.torus, p)
+    p = _as_point(basis.torus, p)
     z = complex(np.asarray(p.lift).reshape(1)[0])
     F = basis.evaluate(z)
     val = float(np.real(F.conj() @ (gram.inverse @ F)))
@@ -210,8 +210,8 @@ def rho_oracle(basis, gram, p):
 
 def offdiag_oracle(basis, gram, x, y):
     """|K_k(x, y)| with the symmetric weight normalization."""
-    x = x if isinstance(x, TorusPoint) else TorusPoint.from_lift(basis.torus, x)
-    y = y if isinstance(y, TorusPoint) else TorusPoint.from_lift(basis.torus, y)
+    x = _as_point(basis.torus, x)
+    y = _as_point(basis.torus, y)
     zx = complex(np.asarray(x.lift).reshape(1)[0])
     zy = complex(np.asarray(y.lift).reshape(1)[0])
     Fx = basis.evaluate(zx)

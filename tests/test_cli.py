@@ -77,7 +77,7 @@ def test_grid_out_deterministic(tmp_path):
     out2 = tmp_path / "b.csv"
     argv = ["grid", "--config", cfg, "--res", "6"]
     assert main(argv + ["--out", str(out1)]) == 0
-    assert main(argv + ["--out", str(out2), "--threads", "2"]) == 0
+    assert main(argv + ["--out", str(out2)]) == 0
     b1 = out1.read_bytes()
     assert b1 == out2.read_bytes()
     assert b1.startswith(b"coord_1,coord_2,rho,tail\n")
@@ -174,7 +174,8 @@ def test_unknown_command_exits():
 
 @pytest.mark.parametrize("command,flags", [
     ("rho", ["--k", "0"]), ("rho", ["--k", "-1"]), ("rho", ["--eps", "0"]),
-    ("rho", ["--eps", "-1"]), ("cylinder", ["--k", "0"]),
+    ("rho", ["--eps", "-1"]), ("cylinder", ["--k", "0"]), ("grid", ["--res", "0"]),
+    ("compare", ["--chi2", "0.5,0.0", "--res", "0"]), ("rho", ["--point", "nan,0.1"]),
 ])
 def test_bad_power_or_eps_exits_1_without_traceback(tmp_path, command, flags):
     """A fresh interpreter, so a hang shows as a timeout and a traceback
@@ -190,3 +191,17 @@ def test_bad_power_or_eps_exits_1_without_traceback(tmp_path, command, flags):
     assert "ValidationError" in proc.stderr
     assert "Traceback" not in proc.stderr
     assert proc.stdout == ""
+
+
+def test_scipy_is_not_loaded_at_run_time():
+    """scipy is a test dependency only: importing the package and
+    refining extrema leave it out of sys.modules."""
+    src = os.path.dirname(os.path.dirname(tk.__file__))
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    code = ("import sys, toruskernel as tk; "
+            "tk.find_extrema(tk.standard_torus(1j, 1), tk.Semicharacter.trivial(1), 1, 16); "
+            "print('scipy' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=60, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

@@ -4,9 +4,11 @@ import math
 
 import numpy as np
 import pytest
+from scipy import optimize
 
 import toruskernel as tk
 from toruskernel.intlin import extended_gcd_row, smith_normal_form
+from toruskernel.kernel import _prepare
 
 from conftest import random_chi
 
@@ -125,8 +127,86 @@ def test_find_extrema_twisted(sq1):
 
 
 def test_find_extrema_rejects_small_resolution(sq1, chi0):
-    with pytest.raises(ValueError):
+    with pytest.raises(tk.ValidationError):
         tk.find_extrema(sq1, chi0, 1, resolution=8)
+
+
+def _reference_refine(prep, x0, sgn):
+    """The former two-stage refinement, kept as a reference: Nelder-Mead
+    on -sgn*rho from a grid cell, then up to 12 capped Newton steps kept
+    only while they improve."""
+    best_x = np.array(x0, dtype=float)
+    best_v = sgn * prep.density(best_x)
+    res = optimize.minimize(lambda x: -sgn * prep.density(x), best_x, method="Nelder-Mead",
+                            options={"maxiter": 640, "xatol": 1e-11, "fatol": 1e-15})
+    if sgn * prep.density(res.x) > best_v:
+        best_x, best_v = np.array(res.x), sgn * prep.density(res.x)
+    for _ in range(12):
+        try:
+            step = np.linalg.solve(prep.hessian(best_x), -prep.gradient(best_x))
+        except np.linalg.LinAlgError:
+            break
+        step *= min(1.0, 0.25 / max(float(np.max(np.abs(step))), 1e-300))
+        v = sgn * prep.density(best_x + step)
+        if not v > best_v:
+            break
+        best_x, best_v = best_x + step, v
+    return best_x % 1.0, sgn * best_v
+
+
+def _reference_extrema(torus, chi, k, resolution):
+    """{kind: (value, tied locations)} by grid scan and the reference refiner."""
+    prep = _prepare(torus, chi, k, eps=1e-12)
+    values = tk.rho_grid(torus, chi, k, resolution, eps=1e-12).values
+    out = {}
+    for kind, sgn in (("max", 1.0), ("min", -1.0)):
+        best = sgn * np.max(sgn * values)
+        cells = sorted(tuple(c) for c in np.argwhere(np.abs(values - best) <= 1e-9))
+        refined = [_reference_refine(prep, np.array(c, dtype=float) / resolution, sgn)
+                   for c in cells]
+        opt = sgn * max(sgn * v for _, v in refined)
+        ties = []
+        for x, v in refined:
+            if abs(v - opt) <= 1e-9 and all(max(map(circ, x, t)) >= 1e-6 for t in ties):
+                ties.append(x)
+        out[kind] = (opt, ties)
+    return out
+
+
+_Z = np.array([[0.2 + 1.1j, 0.3 + 0.25j], [0.3 + 0.25j, 0.1 + 0.9j]])
+_REFERENCE_INPUTS = (
+    [(name, tau, d, phases, k, 32) for name, tau, d, phases in (
+        ("sq1", 1j, 1, (0.0, 0.0)), ("d2", 1j, 2, (0.0, 0.0)),
+        ("tau1", -0.2 + 0.9j, 1, (0.37, 0.81)), ("tau2", 0.3 + 1.2j, 1, (0.64, 0.12)))
+     for k in range(1, 7)]
+    # flat landscape: the density varies by 6e-7 relative along one
+    # direction only, so the Hessian is singular
+    + [("flat", 2j, 2, (0.37, 0.81), 10, 32),
+       ("generic", None, None, (0.11, 0.52, 0.73, 0.29), 2, 16)]
+)
+
+
+@pytest.mark.parametrize("name,tau,d,phases,k,res", _REFERENCE_INPUTS,
+                         ids=[f"{c[0]}-k{c[4]}" for c in _REFERENCE_INPUTS])
+def test_find_extrema_matches_reference_refiner(name, tau, d, phases, k, res):
+    """Damped Newton reaches the extremum values of Nelder-Mead plus
+    Newton; on d = 1 tori it also finds the same tied locations."""
+    if tau is None:
+        torus = tk.PolarizedTorus(n=2, basis=np.vstack([np.eye(2), _Z.T]),
+                                  H=np.linalg.inv(_Z.imag))
+    else:
+        torus = tk.standard_torus(tau, d)
+    chi = tk.Semicharacter(phases)
+    ref = _reference_extrema(torus, chi, k, res)
+    scale = (k / TWO_PI) ** torus.n
+    for rep in tk.find_extrema(torus, chi, k, resolution=res):
+        value, ties = ref[rep.kind]
+        assert abs(rep.value - value) <= 1e-12 * scale
+        if torus.n == 1 and d == 1:
+            got = [p.coords for p in rep.tied_locations]
+            assert len(got) == len(ties)
+            for t in ties:
+                assert min(max(map(circ, t, g)) for g in got) < 1e-6
 
 
 def test_localization_sweep(sq1):
@@ -195,6 +275,11 @@ def test_compare_isomorphic_power_at_k2(sq1, chi0):
     assert cmp.max_diff <= cmp.threshold
     for pa, pb in cmp.recovered:
         assert circ(pa, pb) < 1e-9
+
+
+def test_compare_rejects_tiny_resolution(sq1, chi0):
+    with pytest.raises(tk.ValidationError):
+        tk.compare_bundles(sq1, chi0, tk.Semicharacter((0.5, 0.0)), 1, resolution=0)
 
 
 def test_compare_same_bundle(sq1, rng):

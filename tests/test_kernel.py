@@ -125,19 +125,11 @@ def test_grid_agrees_with_pointwise(sq1, d2, chi0):
 
 def test_grid_extrema_summaries(sq1, chi0):
     field = tk.rho_grid(sq1, chi0, 1, 16)
-    max_at, max_val = field.max_summary()
-    min_at, min_val = field.min_summary()
+    max_at, max_val = field.argbest("max")
+    min_at, min_val = field.argbest("min")
     assert max_at == (0.0, 0.0)
     assert min_at == (0.5, 0.5)
     assert max_val > min_val >= 0.0 - field.density_halfwidth
-
-
-def test_grid_thread_count_invariance(skew, rng):
-    chi = random_chi(rng)
-    serial = tk.rho_grid(skew, chi, 2, 16)
-    threaded = tk.rho_grid(skew, chi, 2, 16, threads=2)
-    # assembled by index: bitwise equal, not merely close
-    assert np.array_equal(serial.values, threaded.values)
 
 
 def test_grid_csv_deterministic(sq1, chi0):
@@ -154,7 +146,7 @@ def test_grid_csv_deterministic(sq1, chi0):
 
 
 def test_grid_rejects_tiny_resolution(sq1, chi0):
-    with pytest.raises(ValueError):
+    with pytest.raises(tk.ValidationError):
         tk.rho_grid(sq1, chi0, 1, 1)
 
 
@@ -170,7 +162,7 @@ def test_integral_check_flags_coarse_grid(sq1, chi0):
     # at k = 4 the density oscillates too fast for an 8-point grid
     with pytest.raises(tk.QuadratureUnconverged):
         tk.integral_check(sq1, chi0, 4, resolution=8)
-    with pytest.raises(ValueError):
+    with pytest.raises(tk.ValidationError):
         tk.integral_check(sq1, chi0, 1, resolution=4)
 
 

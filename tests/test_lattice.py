@@ -261,6 +261,26 @@ def test_torus_point_round_trip(rng, skew):
         assert np.allclose(back % 1.0, coords % 1.0, atol=1e-12)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_inputs_are_validation_errors(sq1, chi0, bad):
+    """NaN or inf in a point or a phase used to give a NaN density."""
+    with pytest.raises(tk.ValidationError):
+        tk.TorusPoint.from_coords(sq1, np.array([bad, 0.1]))
+    with pytest.raises(tk.ValidationError):
+        tk.TorusPoint.from_lift(sq1, [complex(bad, 0.0)])
+    with pytest.raises(tk.ValidationError):
+        tk.Semicharacter((0.1, bad))
+    with pytest.raises(tk.ValidationError):
+        tk.rho_diag(sq1, chi0, 1, [complex(0.2, bad)])
+
+
+def test_semicharacter_length_must_match_torus(sq1):
+    with pytest.raises(tk.ValidationError):
+        tk.chi_phase_turns(tk.Semicharacter((0.1,)), sq1, np.array([1, 0]))
+    with pytest.raises(tk.ValidationError):
+        tk.rho_diag(sq1, tk.Semicharacter.trivial(2), 1, tk.TorusPoint.zero(sq1))
+
+
 def test_torus_distance(sq1):
     # distances carry the loop-length normalization ell = sqrt(2 pi H)
     p = tk.TorusPoint.from_coords(sq1, np.array([0.0, 0.0]))
