@@ -21,7 +21,8 @@ from .config import load_bundle
 from .errors import NumericError, ValidationError
 from .extrema import compare_bundles, find_extrema, localization_sweep
 from .holonomy import hol_closed, hol_ode
-from .kernel import _check_power, integral_check, offdiag_bound, rho_diag, rho_grid
+from .kernel import (_check_power, _check_resolution, integral_check, offdiag_bound, rho_diag,
+                     rho_grid)
 from .lattice import Semicharacter, TorusPoint, validate
 from .theta import build_basis, build_gram, rho_oracle
 
@@ -130,6 +131,7 @@ def _cmd_oracle(args):
     if bundle.torus.n != 1:
         raise ValidationError("the oracle subcommand needs an n = 1 config")
     k = _power(args, bundle)
+    _check_resolution(args.res, 1)
     tau = complex(bundle.torus.basis[1, 0] / bundle.torus.basis[0, 0])
     d = bundle.torus.pfaffian_abs()
     basis = build_basis(tau, d, bundle.chi, k)
@@ -169,6 +171,7 @@ def _cmd_compare(args):
 
 
 def _cmd_cylinder(args):
+    _check_resolution(args.res, 1)
     ts = np.linspace(args.tmin, args.tmax, args.res)
     rows = []
     for t in ts:
@@ -198,6 +201,8 @@ def _cmd_extrema(args):
 
 def _cmd_rigidity(args):
     bundle = load_bundle(args.config)
+    if args.kmax < args.kmin:
+        raise ValidationError(f"--kmax must be at least --kmin, got {args.kmax} < {args.kmin}")
     rows = localization_sweep(bundle.torus, bundle.chi, range(args.kmin, args.kmax + 1),
                               resolution=args.res)
     _csv_rows(args, ["k", "dist", "bound", "ratio"],

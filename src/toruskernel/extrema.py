@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FitResidualTooLarge, InconsistentSystem
+from .errors import FitResidualTooLarge, InconsistentSystem, ValidationError
 from .holonomy import calibration_sign
 from .intlin import extended_gcd_row, smith_normal_form
 from .kernel import DEFAULT_EPS, _check_resolution, _grid_values, _prepare
@@ -275,40 +275,35 @@ def pushforward_fit(torus, chi, k, v1, samples=256, profile_samples=None, eps=1e
     """Recover the holonomy phase of the v1-loop from the density alone.
 
     The quotient circle is parameterized through a generator u with
-    E(v1, u) = g = content of the integer row (E(v1, lambda_j))_j; fibers
-    are sampled on a uniform sublattice mesh, which integrates the
-    transverse loops to zero at spectral accuracy.  The surviving
-    profile is fit at the predicted frequency k*s*g; the measured
-    spectral peak is reported alongside, and a residual above 1e-6 of
-    the fundamental amplitude raises FitResidualTooLarge.
+    E(v1, u) = g = content of the integer row (E(v1, lambda_j))_j.  Over
+    the fiber mesh W c / samples, c in (Z/samples)^(2n-1), W an integer
+    kernel basis of that row, loop v averages to 0 unless A_v W = 0 mod
+    samples, so the profile is the exact sum of w_v cos(2*pi*(t A_v u -
+    chi_v)) over the surviving loops.  It is fit at the predicted frequency
+    k*s*g; the measured spectral peak is reported alongside, and a residual
+    above 1e-6 of the fundamental amplitude raises FitResidualTooLarge.
     """
+    if samples < 1:
+        raise ValidationError(f"samples must be at least 1, got {samples!r}")
     v1 = _as_vector(torus, v1)
-    two_n = 2 * torus.n
     row = np.array(v1.coords, dtype=object) @ np.array(torus.E, dtype=object)
     if all(int(x) == 0 for x in row):
         raise ValueError("v1 pairs trivially with the lattice; no circle map")
     g, c_u, kernel = extended_gcd_row(row)
     lam_signed = k * calibration_sign() * g
 
-    W = np.array(kernel, dtype=float)                       # (2n, 2n-1)
+    W = np.array(kernel, dtype=np.int64)                    # (2n, 2n-1)
     fiber_gram = W.T @ torus.gram @ W
     nu = math.sqrt(max(float(np.linalg.det(np.atleast_2d(fiber_gram))), 0.0))
 
     T = profile_samples if profile_samples is not None else max(64, 8 * abs(lam_signed))
-    S = samples
     prep = _prepare(torus, chi, k, eps=eps)
 
     t = np.arange(T) / T
-    u = np.array(c_u, dtype=float)
-    fiber_offsets = np.stack([
-        W @ (np.array(c, dtype=float) / S)
-        for c in itertools.product(range(S), repeat=two_n - 1)
-    ])                                                      # (S^(2n-1), 2n)
-    profile = np.empty(T)
-    for j in range(T):
-        pts = t[j] * u + fiber_offsets
-        profile[j] = float(np.mean(prep.loop_sum(pts)))
-    profile *= nu
+    keep = np.all(np.mod(prep.A @ W, samples) == 0, axis=1)
+    freqs = prep.A[keep] @ np.array(c_u, dtype=np.int64)
+    turns = np.mod(np.outer(np.arange(T), freqs), T) / T - prep.chi_turns[keep]
+    profile = nu * (np.cos(TWO_PI * turns) @ prep.weights[keep])
 
     coeffs = [
         2.0 / T * complex(np.sum(profile * np.exp(-2j * math.pi * mm * lam_signed * t)))

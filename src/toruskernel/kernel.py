@@ -19,6 +19,11 @@ point.  A SeriesResult therefore certifies
 
     value - tail*(k/2pi)^n <= true density <= value + tail*(k/2pi)^n.
 
+On the grid j/r, j in (Z/r)^(2n), only A_v mod r of each integer
+frequency A_v = k*s*E(v, .) matters, so a whole grid is one scatter of
+w_v exp(-2*pi*i*chi_v) into bin A_v mod r plus one inverse FFT, with the
+phases A_v . j reduced in integers: O(terms + r^(2n) log r), exact at any k.
+
 The truncation-radius policy (grow-then-bisect to the minimal R with
 tail_bound(R, k) <= eps) and the enumeration cap are choices of this
 module; RadiusTooLarge reports an estimate of the cap a caller would
@@ -40,6 +45,7 @@ from .lattice import (
     ENUM_CAP,
     TWO_PI,
     _as_point,
+    _check_integral,
     _derived,
     _enumerate_sorted,
     _l1,
@@ -155,15 +161,12 @@ class _PreparedSum:
         self.chi_turns = k * chi_phase_turns(chi, torus, C)
         self.tail = tail_bound(torus, radius, k)
 
-    def loop_sum(self, coords):
-        """sum_v w_v cos(2*pi*turn_v(x)) for coords of shape (..., 2n)."""
+    def density(self, coords):
+        """scale * (1 + sum_v w_v cos(2*pi*turn_v(x))) for coords of shape (..., 2n)."""
         X = np.atleast_2d(np.asarray(coords, dtype=float))
         turns = X @ self.A.T.astype(float) - self.chi_turns
-        out = np.cos(TWO_PI * turns) @ self.weights
+        out = self.scale * (1.0 + np.cos(TWO_PI * turns) @ self.weights)
         return out if np.asarray(coords).ndim > 1 else float(out[0])
-
-    def density(self, coords):
-        return self.scale * (1.0 + self.loop_sum(coords))
 
     def gradient(self, coords):
         x = np.asarray(coords, dtype=float)
@@ -182,6 +185,7 @@ class _PreparedSum:
 
 def _prepare(torus, chi, k, eps=DEFAULT_EPS, radius=None, cap=ENUM_CAP):
     _check_power(k, eps)
+    _check_integral(torus)
     R = radius if radius is not None else truncation_radius(torus, k, eps)
     R = max(R, _l1(torus))
     return _PreparedSum(torus, chi, k, R, cap=cap)
@@ -206,25 +210,18 @@ def rho_gradient(torus, chi, k, p, eps=DEFAULT_EPS, radius=None):
     return prep.gradient(np.asarray(p.coords))
 
 
-def _grid_coords(n, resolution):
-    axes = np.indices((resolution,) * (2 * n)).reshape(2 * n, -1).T
-    return axes.astype(float) / resolution
-
-
 def _check_resolution(resolution, least):
     if resolution < least:
         raise ValidationError(f"resolution must be at least {least}, got {resolution!r}")
 
 
 def _grid_values(prep, resolution):
-    """Density on the full grid, evaluated in chunks of 16384 points."""
-    n = prep.torus.n
-    pts = _grid_coords(n, resolution)
-    out = np.empty(pts.shape[0])
-    chunk = 1 << 14
-    for a in range(0, len(out), chunk):
-        out[a:a + chunk] = prep.density(pts[a:a + chunk])
-    return out.reshape((resolution,) * (2 * n))
+    """Density on the grid j/r by one scatter of w_v exp(-2*pi*i*chi_v)
+    into bin A_v mod r and one inverse FFT (see the module docstring)."""
+    spectrum = np.zeros((resolution,) * (2 * prep.torus.n), dtype=complex)
+    bins = tuple(np.mod(prep.A, resolution).T)
+    np.add.at(spectrum, bins, prep.weights * np.exp(-2j * np.pi * np.mod(prep.chi_turns, 1.0)))
+    return prep.scale * (1.0 + spectrum.size * np.fft.ifftn(spectrum).real)
 
 
 @dataclass(frozen=True, eq=False)

@@ -295,6 +295,13 @@ class Shells(NamedTuple):
     S1: list
 
 
+def _check_integral(torus, tol_int=TOL_INT):
+    """Raise IntegralityViolation if Im H is more than tol_int off the integers."""
+    if torus._integrality_residual > tol_int:
+        raise IntegralityViolation(f"Im H off the integer lattice by "
+                                   f"{torus._integrality_residual:.3e} (tol {tol_int:.1e})")
+
+
 def validate(torus, tol_int=TOL_INT):
     """Check polarization data and return a ValidationReport.
 
@@ -313,15 +320,11 @@ def validate(torus, tol_int=TOL_INT):
         raise NotPositiveDefinite(
             f"H must be Hermitian positive definite (min eigenvalue {min_eig:.3e})"
         )
-    resid = torus._integrality_residual
-    if resid > tol_int:
-        raise IntegralityViolation(
-            f"Im H off the integer lattice by {resid:.3e} (tol {tol_int:.1e})"
-        )
+    _check_integral(torus, tol_int)
     return ValidationReport(
         n=torus.n,
         min_eigenvalue=min_eig,
-        integrality_residual=resid,
+        integrality_residual=torus._integrality_residual,
         rank_E=int(np.linalg.matrix_rank(torus.E.astype(float))),
         pfaffian_abs=torus.pfaffian_abs(),
         det_basis=torus._det_B,

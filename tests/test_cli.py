@@ -176,6 +176,8 @@ def test_unknown_command_exits():
     ("rho", ["--k", "0"]), ("rho", ["--k", "-1"]), ("rho", ["--eps", "0"]),
     ("rho", ["--eps", "-1"]), ("cylinder", ["--k", "0"]), ("grid", ["--res", "0"]),
     ("compare", ["--chi2", "0.5,0.0", "--res", "0"]), ("rho", ["--point", "nan,0.1"]),
+    ("oracle", ["--res", "0"]), ("cylinder", ["--res", "0"]),
+    ("rigidity", ["--kmin", "5", "--kmax", "2"]),
 ])
 def test_bad_power_or_eps_exits_1_without_traceback(tmp_path, command, flags):
     """A fresh interpreter, so a hang shows as a timeout and a traceback

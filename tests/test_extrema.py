@@ -250,6 +250,23 @@ def test_pushforward_guards(sq1):
     # a 3-point fiber mesh cannot cancel the transverse loops
     with pytest.raises(tk.FitResidualTooLarge):
         tk.pushforward_fit(sq1, chi, 1, (1, 0), samples=3)
+    with pytest.raises(tk.ValidationError):
+        tk.pushforward_fit(sq1, chi, 1, (1, 0), samples=0)
+
+
+def _product_surface():
+    return tk.product_torus(tk.standard_torus(1j, 1), tk.standard_torus(0.3 + 1.2j, 1))
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_pushforward_recovers_basis_holonomies_on_a_surface(k):
+    """At n = 2 the fiber mesh has samples^3 points; the profile keeps
+    only the loops it cannot cancel, so the default 256 stays cheap."""
+    phases = (0.11, 0.52, 0.73, 0.29)
+    torus, chi = _product_surface(), tk.Semicharacter(phases)
+    for i, phase in enumerate(phases):
+        e = tuple(int(j == i) for j in range(4))
+        assert circ(tk.pushforward_recover(torus, chi, k, e), (-k * phase) % 1.0) < 1e-9
 
 
 def test_compare_distinct_at_k1(sq1, chi0):
@@ -273,6 +290,19 @@ def test_compare_isomorphic_power_at_k2(sq1, chi0):
     assert cmp.verdict == "isomorphic_power"
     assert cmp.witness is None
     assert cmp.max_diff <= cmp.threshold
+    for pa, pb in cmp.recovered:
+        assert circ(pa, pb) < 1e-9
+
+
+def test_compare_isomorphic_power_on_a_surface():
+    """A half-period shift of the first phase squares away on n = 2 too."""
+    torus = _product_surface()
+    chi_a = tk.Semicharacter((0.11, 0.52, 0.73, 0.29))
+    chi_b = tk.Semicharacter((0.61, 0.52, 0.73, 0.29))
+    assert tk.compare_bundles(torus, chi_a, chi_b, 1, resolution=8).verdict == "distinct"
+    cmp = tk.compare_bundles(torus, chi_a, chi_b, 2, resolution=8)
+    assert cmp.verdict == "isomorphic_power"
+    assert len(cmp.recovered) == 4
     for pa, pb in cmp.recovered:
         assert circ(pa, pb) < 1e-9
 

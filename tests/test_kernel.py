@@ -2,11 +2,13 @@
 
 import io
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import toruskernel as tk
+from toruskernel.kernel import _prepare
 
 from conftest import brute_rho, random_chi, random_torus
 
@@ -121,6 +123,80 @@ def test_grid_agrees_with_pointwise(sq1, d2, chi0):
             assert abs(field.values[idx] - r.value) < 1e-12
         assert field.radius == r.radius
         assert field.tail == r.tail
+
+
+def _reference_grid(prep, resolution, chunk=2048):
+    """The former grid evaluator, kept as a reference: one cosine per
+    (grid point, lattice term) pair, in chunks of grid points."""
+    axes = np.indices((resolution,) * (2 * prep.torus.n)).reshape(2 * prep.torus.n, -1).T
+    pts = axes.astype(float) / resolution
+    out = np.empty(len(pts))
+    for a in range(0, len(out), chunk):
+        out[a:a + chunk] = prep.density(pts[a:a + chunk])
+    return out.reshape((resolution,) * (2 * prep.torus.n))
+
+
+_Z = np.array([[0.2 + 1.1j, 0.3 + 0.25j], [0.3 + 0.25j, 0.1 + 0.9j]])
+
+
+def _surface(name):
+    if name == "product":
+        return tk.product_torus(tk.standard_torus(1j, 1), tk.standard_torus(0.3 + 1.2j, 1))
+    return tk.PolarizedTorus(n=2, basis=np.vstack([np.eye(2), _Z.T]), H=np.linalg.inv(_Z.imag))
+
+
+_GRID_INPUTS = (
+    [(f"{name}-k{k}", name, k, (16, 15, 7, 2)) for name in ("sq1", "d2", "tau1", "tau2")
+     for k in range(1, 9)]
+    + [(f"{name}-k{k}", name, k, (8, 7, 2)) for name in ("product", "generic") for k in (1, 2)]
+)
+_N1 = {"sq1": (1j, 1), "d2": (1j, 2), "tau1": (-0.2 + 0.9j, 1), "tau2": (0.3 + 1.2j, 1)}
+
+
+@pytest.mark.parametrize("name,k,resolutions", [c[1:] for c in _GRID_INPUTS],
+                         ids=[c[0] for c in _GRID_INPUTS])
+def test_grid_matches_reference_evaluator(name, k, resolutions):
+    """The inverse-FFT grid equals the term-by-term cosine sum, at even,
+    odd and least resolutions."""
+    if name in _N1:
+        torus, chi = tk.standard_torus(*_N1[name]), tk.Semicharacter((0.37, 0.81))
+    else:
+        torus, chi = _surface(name), tk.Semicharacter((0.11, 0.52, 0.73, 0.29))
+    prep = _prepare(torus, chi, k)
+    scale = (k / TWO_PI) ** torus.n
+    for res in resolutions:
+        values = tk.rho_grid(torus, chi, k, res).values
+        assert values.shape == (res,) * (2 * torus.n)
+        assert np.max(np.abs(values - _reference_grid(prep, res))) <= 1e-13 * scale
+
+
+def test_grid_at_large_k_reduces_phases_exactly():
+    """At k = 40 the frequencies A_v reach 80, far above the resolution;
+    a loop of length 0.56 keeps their weights above 1e-6.  The reference
+    reduces A . j mod r in integers before the cosine, as the grid does."""
+    torus, chi, k = tk.standard_torus(0.3 + 20j, 1), tk.Semicharacter((0.37, 0.81)), 40
+    prep = _prepare(torus, chi, k)
+    assert np.max(np.abs(prep.A)) >= 80
+    for res in (16, 15):
+        J = np.indices((res, res)).reshape(2, -1).T
+        turns = np.mod(J @ prep.A.T, res) / res - prep.chi_turns
+        ref = prep.scale * (1.0 + np.cos(TWO_PI * turns) @ prep.weights)
+        values = tk.rho_grid(torus, chi, k, res).values
+        assert np.max(np.abs(values.ravel() - ref)) <= 1e-13 * prep.scale
+
+
+def test_grid_memory_is_one_spectrum():
+    """An n = 2 grid at res 12 holds one r^4 spectrum, not a chunk of
+    points times every lattice term."""
+    torus, chi = _surface("generic"), tk.Semicharacter((0.11, 0.52, 0.73, 0.29))
+    tk.rho_grid(torus, chi, 2, 2)   # the truncation audit and radius memo run untraced
+    tracemalloc.start()
+    try:
+        tk.rho_grid(torus, chi, 2, 12)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2 ** 20
 
 
 def test_grid_extrema_summaries(sq1, chi0):
@@ -257,3 +333,14 @@ def test_tail_bound_rejects_bad_power(sq1, k):
 def test_numpy_integer_power_accepted(sq1):
     p = _pt(sq1)
     assert tk.rho_diag(sq1, _CHI, np.int64(2), p) == tk.rho_diag(sq1, _CHI, 2, p)
+
+
+def test_non_integral_torus_is_rejected_where_every_density_starts():
+    """Im H 0.3 off the integers used to be rounded and evaluated."""
+    torus = tk.PolarizedTorus(n=1, basis=[[1], [0.3 + 1.2j]], H=[[1.3 / 1.2]])
+    with pytest.raises(tk.IntegralityViolation):
+        tk.rho_diag(torus, _CHI, 1, _pt(torus))
+    with pytest.raises(tk.IntegralityViolation):
+        tk.rho_grid(torus, _CHI, 1, 8)
+    with pytest.raises(tk.IntegralityViolation):
+        tk.find_extrema(torus, _CHI, 1, resolution=16)
