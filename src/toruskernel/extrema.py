@@ -28,7 +28,6 @@ Three capabilities built on the loop sum:
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -72,20 +71,18 @@ def solve_holonomy(torus, chi, target, mesh=8):
     by Smith normal form over the integers.  Dependent vectors with
     incompatible targets raise InconsistentSystem; when the vectors do
     not span, the solution family is sampled on a mesh and flagged.
+
+    The solutions are built as one coordinate array: the meshgrid Y of
+    the choices (w_i mod 1 + j)/d_i on each pinned Smith row and j/mesh
+    on each free direction, mapped back by X = (Y V^T) mod 1.  TorusPoints
+    are made only for the sorted, distinct rows of X.
     """
     k = target.k
-    sign = calibration_sign()
     vecs = [_as_vector(torus, v) for v in target.vectors]
     m = len(vecs)
     two_n = 2 * torus.n
-    if m == 0:
-        reps = [TorusPoint.from_coords(torus, np.array(c) / mesh)
-                for c in itertools.product(range(mesh), repeat=two_n)]
-        free = tuple(tuple(int(e) for e in np.eye(two_n, dtype=int)[i]) for i in range(two_n))
-        return HolonomySolutions(points=tuple(reps), underdetermined=True, free_directions=free)
-
-    C = np.array([v.coords for v in vecs], dtype=object)
-    M = (k * sign) * (C @ np.array(torus.E, dtype=object))
+    C = np.array([v.coords for v in vecs], dtype=object).reshape(m, two_n)
+    M = (k * calibration_sign()) * (C @ np.array(torus.E, dtype=object))
     b = np.empty(m)
     for j, (v, t) in enumerate(zip(vecs, target.targets)):
         t = complex(t)
@@ -104,27 +101,15 @@ def solve_holonomy(torus, chi, target, mesh=8):
                 f"row {i}: dependent holonomy constraint off by {frac:.3e}"
             )
 
-    choices = []
-    for i in range(rank):
-        d = int(D[i, i])
-        base = w[i] % 1.0
-        choices.append([((base + j) / d) % 1.0 for j in range(d)])
-    free_idx = list(range(rank, two_n))
-    underdetermined = bool(free_idx)
-    if underdetermined:
-        for _ in free_idx:
-            choices.append([j / mesh for j in range(mesh)])
-
-    Vf = np.array(V, dtype=float)
-    pts = []
-    for combo in itertools.product(*choices) if choices else [()]:
-        y = np.array(combo, dtype=float)
-        x = (Vf @ y) % 1.0
-        pts.append(tuple(round(float(c) % 1.0, 12) % 1.0 for c in x))
-    pts = sorted(set(pts))
+    choices = [((w[i] % 1.0 + np.arange(int(D[i, i]))) / int(D[i, i])) % 1.0
+               for i in range(rank)]
+    choices += [np.arange(mesh) / mesh] * (two_n - rank)
+    Y = np.stack(np.meshgrid(*choices, indexing="ij"), axis=-1).reshape(-1, two_n)
+    X = (Y @ np.array(V, dtype=float).T) % 1.0
+    pts = sorted({tuple(round(c % 1.0, 12) % 1.0 for c in x) for x in X.tolist()})
     points = tuple(TorusPoint.from_coords(torus, np.array(p)) for p in pts)
-    free = tuple(tuple(int(V[j, i]) for j in range(two_n)) for i in free_idx)
-    return HolonomySolutions(points=points, underdetermined=underdetermined, free_directions=free)
+    free = tuple(tuple(int(V[j, i]) for j in range(two_n)) for i in range(rank, two_n))
+    return HolonomySolutions(points=points, underdetermined=rank < two_n, free_directions=free)
 
 
 # -- extrema ---------------------------------------------------------------
@@ -141,8 +126,8 @@ class ExtremumReport:
     window: float
 
 
-def _independent_first_shell(torus):
-    sh = shells(torus)
+def _independent_first_shell(sh):
+    """The first-shell vectors of ``sh`` that raise the rank, in order."""
     chosen = []
     rows = []
     for v in sh.S1:
@@ -150,14 +135,7 @@ def _independent_first_shell(torus):
         if np.linalg.matrix_rank(np.array(trial, dtype=float)) > len(rows):
             chosen.append(v)
             rows = trial
-    return sh, chosen
-
-
-def _predicted_points(torus, chi, k, kind, mesh=8):
-    _, indep = _independent_first_shell(torus)
-    tgt = 1.0 if kind == "max" else -1.0
-    target = HolonomyTarget(vectors=tuple(indep), targets=(complex(tgt),) * len(indep), k=k)
-    return solve_holonomy(torus, chi, target, mesh=mesh)
+    return tuple(chosen)
 
 
 def _refine_candidate(prep, x0, kind, iters):
@@ -211,9 +189,10 @@ def find_extrema(torus, chi, k, resolution=32, refine_iters=64, eps=1e-12):
     values = _grid_values(prep, resolution)
     sh = shells(torus)
     window = math.exp(0.25 * k * (sh.l1 ** 2 - sh.l2 ** 2))
+    indep = _independent_first_shell(sh)
 
     reports = {}
-    for kind in ("max", "min"):
+    for kind, hol in (("max", 1.0), ("min", -1.0)):
         best = float(np.max(values) if kind == "max" else np.min(values))
         tied = np.argwhere(np.abs(values - best) <= 1e-9)
         cells = sorted(tuple(idx) for idx in tied)
@@ -229,8 +208,9 @@ def find_extrema(torus, chi, k, resolution=32, refine_iters=64, eps=1e-12):
                        for seen in dedup):
                 dedup.append(loc)
         points = tuple(TorusPoint.from_coords(torus, np.array(loc)) for loc in dedup)
-        sol = _predicted_points(torus, chi, k, kind)
-        dist = _nearest_distance(torus, points[0], sol.points) if sol.points else float("nan")
+        sol = solve_holonomy(torus, chi, HolonomyTarget(
+            vectors=indep, targets=(complex(hol),) * len(indep), k=k))
+        dist = _nearest_distance(torus, points[0], sol.points)
         reports[kind] = ExtremumReport(
             kind=kind, location=points[0], value=float(opt), predicted=sol.points,
             distance=float(dist), tied_locations=points, window=window,

@@ -158,37 +158,44 @@ class _PreparedSum:
         self.weights = np.exp(-0.25 * k * lengths ** 2)
         # turn(x) = k*s*E(v, x) - k*chi_turns(v);  E(v, sum x_i lambda_i) = (C E) x
         self.A = (k * calibration_sign()) * (C @ torus.E)
+        self._Af = self.A.astype(float)
         self.chi_turns = k * chi_phase_turns(chi, torus, C)
         self.tail = tail_bound(torus, radius, k)
 
+    def _turns(self, coords):
+        return np.asarray(coords, dtype=float) @ self._Af.T - self.chi_turns
+
     def density(self, coords):
         """scale * (1 + sum_v w_v cos(2*pi*turn_v(x))) for coords of shape (..., 2n)."""
-        X = np.atleast_2d(np.asarray(coords, dtype=float))
-        turns = X @ self.A.T.astype(float) - self.chi_turns
+        turns = self._turns(np.atleast_2d(coords))
         out = self.scale * (1.0 + np.cos(TWO_PI * turns) @ self.weights)
         return out if np.asarray(coords).ndim > 1 else float(out[0])
 
     def gradient(self, coords):
-        x = np.asarray(coords, dtype=float)
-        turns = self.A.astype(float) @ x - self.chi_turns
-        return -TWO_PI * self.scale * (
-            (self.weights * np.sin(TWO_PI * turns)) @ self.A.astype(float)
-        )
+        turns = self._turns(coords)
+        return -TWO_PI * self.scale * ((self.weights * np.sin(TWO_PI * turns)) @ self._Af)
 
     def hessian(self, coords):
-        x = np.asarray(coords, dtype=float)
-        turns = self.A.astype(float) @ x - self.chi_turns
-        Af = self.A.astype(float)
-        w = self.weights * np.cos(TWO_PI * turns)
-        return -(TWO_PI ** 2) * self.scale * (Af.T * w) @ Af
+        w = self.weights * np.cos(TWO_PI * self._turns(coords))
+        return -(TWO_PI ** 2) * self.scale * (self._Af.T * w) @ self._Af
+
+
+def _series_radius(torus, k, eps, radius):
+    """The radius a series is truncated at: ``radius`` when given, else
+    ``truncation_radius``, and never below l1, where ``tail_bound``
+    starts.  A NaN radius would never end the tail loop, so a non-finite
+    one raises ValidationError."""
+    if radius is None:
+        radius = truncation_radius(torus, k, eps)
+    elif not math.isfinite(radius):
+        raise ValidationError(f"radius must be finite, got {radius!r}")
+    return max(radius, _l1(torus))
 
 
 def _prepare(torus, chi, k, eps=DEFAULT_EPS, radius=None, cap=ENUM_CAP):
     _check_power(k, eps)
     _check_integral(torus)
-    R = radius if radius is not None else truncation_radius(torus, k, eps)
-    R = max(R, _l1(torus))
-    return _PreparedSum(torus, chi, k, R, cap=cap)
+    return _PreparedSum(torus, chi, k, _series_radius(torus, k, eps, radius), cap=cap)
 
 
 def rho_diag(torus, chi, k, p, eps=DEFAULT_EPS, radius=None, cap=ENUM_CAP):
@@ -298,8 +305,7 @@ def offdiag_bound(torus, k, x, y, eps=DEFAULT_EPS, radius=None, cap=ENUM_CAP):
     _check_power(k, eps)
     x = _as_point(torus, x)
     y = _as_point(torus, y)
-    R = radius if radius is not None else truncation_radius(torus, k, eps)
-    R = max(R, _l1(torus))
+    R = _series_radius(torus, k, eps, radius)
     delta = np.asarray(y.lift) - np.asarray(x.lift)
     _, lengths = _enumerate_sorted(torus, R, offset=torus.coords_from_lift(delta), cap=cap)
     scale = (k / TWO_PI) ** torus.n

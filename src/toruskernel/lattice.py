@@ -343,10 +343,13 @@ def length(torus, v):
 
 
 def _ball_count_estimate(torus, radius):
+    """1.5 ball volumes per covolume, plus 2n, as an int for any finite
+    radius: the power is taken on exact integer ratios, not in floats."""
     m = 2 * torus.n
     covol = math.sqrt(max(float(np.linalg.det(torus.gram)), 1e-300))
-    ball = math.pi ** (m / 2) * radius ** m / math.gamma(m / 2 + 1)
-    return int(math.ceil(1.5 * ball / covol)) + m
+    a, b = (1.5 * math.pi ** (m / 2) / math.gamma(m / 2 + 1) / covol).as_integer_ratio()
+    c, d = float(radius).as_integer_ratio()
+    return -(-a * c ** m // (b * d ** m)) + m
 
 
 def _fp_enumerate(torus, radius, offsets=None, cap=ENUM_CAP):
@@ -373,6 +376,10 @@ def _fp_enumerate(torus, radius, offsets=None, cap=ENUM_CAP):
     out, sources = [], []
     found = 0
 
+    def too_large():
+        return RadiusTooLarge(f"enumeration inside radius {radius:.6g} exceeds cap {cap}",
+                              required_cap=_ball_count_estimate(torus, radius))
+
     def expand(i, C, src, rem):
         nonlocal found
         rii = float(R[i, i])
@@ -382,8 +389,14 @@ def _fp_enumerate(torus, radius, offsets=None, cap=ENUM_CAP):
         mid = -t / rii - off[:, i]
         half = np.sqrt(rem) / rii + 1e-12
         lo = np.ceil(mid - half)
-        counts = np.maximum(np.floor(mid + half) - lo + 1.0, 0.0).astype(np.int64)
+        counts = np.maximum(np.floor(mid + half) - lo + 1.0, 0.0)
         ends = np.cumsum(counts)
+        # float partial sums are exact below 2^53; a level that large, or
+        # an infinite count from a radius whose square overflows, is
+        # beyond any cap
+        if not ends[-1] < 2.0 ** 53:
+            raise too_large()
+        counts, ends = counts.astype(np.int64), ends.astype(np.int64)
         total = int(ends[-1])
         for start in range(0, total, cap):
             child = np.arange(start, min(start + cap, total))
@@ -398,10 +411,7 @@ def _fp_enumerate(torus, radius, offsets=None, cap=ENUM_CAP):
             if i == 0:
                 found += rows.shape[0]
                 if found > cap:
-                    raise RadiusTooLarge(
-                        f"enumeration inside radius {radius:.6g} exceeds cap {cap}",
-                        required_cap=_ball_count_estimate(torus, radius),
-                    )
+                    raise too_large()
                 out.append(rows)
                 sources.append(src[parent])
             elif rows.shape[0]:
@@ -595,14 +605,15 @@ def _nearest_distance(torus, p, targets):
     """Geodesic distance from p to the nearest of the torus points
     ``targets``, by one translate search over all of them.
 
-    The shortest wrapped difference bounds the answer from above, so one
-    search of that radius around every target's offset finds it.
+    Distances are measured from the reduced coordinates: the search
+    covers every lattice translate, so only each offset q - p mod Z^2n
+    matters.  The shortest wrapped offset bounds the answer from above,
+    so one search of that radius around every offset finds it.
     """
-    base = np.asarray(p.lift, dtype=complex)
-    offs = np.array([torus.coords_from_lift(np.asarray(q.lift, dtype=complex) - base)
-                     for q in targets])
+    offs = np.array([q.coords for q in targets]) - np.array(p.coords)
     wrapped = offs - np.rint(offs)
-    reach = min(torus.length_of(torus.embed(w)) for w in wrapped) * (1.0 + 1e-9) + 1e-12
+    shortest = float(np.min(np.einsum("ti,ij,tj->t", wrapped, torus.gram, wrapped)))
+    reach = math.sqrt(max(shortest, 0.0)) * (1.0 + 1e-9) + 1e-12
     cand, src = _fp_enumerate(torus, reach, offsets=offs)
     u = cand + offs[src]
     return float(np.min(np.sqrt(np.maximum(np.einsum("ti,ij,tj->t", u, torus.gram, u), 0.0))))

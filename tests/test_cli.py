@@ -161,6 +161,13 @@ def test_hol_too_few_steps_is_numeric_failure(tmp_path, capsys):
     assert "StepCountTooSmall" in capsys.readouterr().err
 
 
+def test_huge_radius_is_numeric_failure(tmp_path, capsys):
+    """--radius 1e300 used to end in an OverflowError traceback."""
+    cfg = write_config(tmp_path)
+    assert main(["rho", "--config", cfg, "--point", "0,0", "--radius", "1e300"]) == 2
+    assert "RadiusTooLarge" in capsys.readouterr().err
+
+
 def test_hol_requires_vector(tmp_path, capsys):
     cfg = write_config(tmp_path)
     assert main(["hol", "--config", cfg, "--point", "0,0"]) == 1
@@ -177,7 +184,8 @@ def test_unknown_command_exits():
     ("rho", ["--eps", "-1"]), ("cylinder", ["--k", "0"]), ("grid", ["--res", "0"]),
     ("compare", ["--chi2", "0.5,0.0", "--res", "0"]), ("rho", ["--point", "nan,0.1"]),
     ("oracle", ["--res", "0"]), ("cylinder", ["--res", "0"]),
-    ("rigidity", ["--kmin", "5", "--kmax", "2"]),
+    ("rigidity", ["--kmin", "5", "--kmax", "2"]), ("rho", ["--radius", "nan"]),
+    ("grid", ["--radius", "inf"]), ("offdiag", ["--point2", "0.5,0.5", "--radius", "nan"]),
 ])
 def test_bad_power_or_eps_exits_1_without_traceback(tmp_path, command, flags):
     """A fresh interpreter, so a hang shows as a timeout and a traceback

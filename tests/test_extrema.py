@@ -1,5 +1,6 @@
 """Extremum location, holonomy congruences, pushforward, comparison."""
 
+import itertools
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 from scipy import optimize
 
 import toruskernel as tk
+from toruskernel.extrema import _independent_first_shell
 from toruskernel.intlin import extended_gcd_row, smith_normal_form
 from toruskernel.kernel import _prepare
 
@@ -92,6 +94,98 @@ def test_solve_holonomy_rejects_off_circle(sq1, chi0):
     with pytest.raises(ValueError):
         tk.solve_holonomy(sq1, chi0, tk.HolonomyTarget(
             vectors=((1, 0),), targets=(2.0 + 0j,), k=1))
+
+
+def _reference_solve_holonomy(torus, chi, target, mesh=8):
+    """The former point-by-point solver, kept as a reference: its own
+    branch for an empty target, and one matvec per itertools.product
+    combination of the Smith-row choices and the free-direction mesh."""
+    k = target.k
+    vecs = [tk.LatticeVector.from_coords(torus, v) for v in target.vectors]
+    m = len(vecs)
+    two_n = 2 * torus.n
+    if m == 0:
+        reps = [tk.TorusPoint.from_coords(torus, np.array(c) / mesh)
+                for c in itertools.product(range(mesh), repeat=two_n)]
+        free = tuple(tuple(int(e) for e in np.eye(two_n, dtype=int)[i]) for i in range(two_n))
+        return tk.HolonomySolutions(points=tuple(reps), underdetermined=True,
+                                    free_directions=free)
+    C = np.array([v.coords for v in vecs], dtype=object)
+    M = (k * tk.calibration_sign()) * (C @ np.array(torus.E, dtype=object))
+    b = np.empty(m)
+    for j, (v, t) in enumerate(zip(vecs, target.targets)):
+        t = complex(t)
+        b[j] = (math.atan2(t.imag, t.real) / TWO_PI
+                + k * tk.chi_phase_turns(chi, torus, v.coords)) % 1.0
+    U, D, V = smith_normal_form(M)
+    rank = sum(1 for i in range(min(m, two_n)) if D[i, i] != 0)
+    w = np.array(U, dtype=float) @ b
+    choices = []
+    for i in range(rank):
+        d = int(D[i, i])
+        base = w[i] % 1.0
+        choices.append([((base + j) / d) % 1.0 for j in range(d)])
+    free_idx = list(range(rank, two_n))
+    for _ in free_idx:
+        choices.append([j / mesh for j in range(mesh)])
+    Vf = np.array(V, dtype=float)
+    pts = []
+    for combo in itertools.product(*choices):
+        x = (Vf @ np.array(combo, dtype=float)) % 1.0
+        pts.append(tuple(round(float(c) % 1.0, 12) % 1.0 for c in x))
+    points = tuple(tk.TorusPoint.from_coords(torus, np.array(p)) for p in sorted(set(pts)))
+    free = tuple(tuple(int(V[j, i]) for j in range(two_n)) for i in free_idx)
+    return tk.HolonomySolutions(points=points, underdetermined=bool(free_idx),
+                                free_directions=free)
+
+
+_N1 = {"sq1": (1j, 1), "d2": (1j, 2), "skew": (0.3 + 1.2j, 1), "rect": (2j, 2)}
+_TW1, _TW2 = (0.37, 0.81), (0.11, 0.52, 0.73, 0.29)
+_BASIS = ((1, 0), (0, 1))
+_SOLVE_INPUTS = (
+    [(name, phases, _BASIS, (hol, hol), k, 8) for name in ("sq1", "d2", "skew")
+     for phases in ((0.0, 0.0), _TW1) for hol in (1, -1) for k in range(1, 5)]
+    + [("rect", (0.0, 0.0), ((1, 0),), (1,), 1, 4), ("sq1", _TW1, (), (), 1, 8),
+       ("product", _TW2, (), (), 2, 4)]
+    # the generic surface's first shell spans rank 1: 2 * 8^3 points
+    + [("generic", _TW2, "first shell", hol, 2, 8) for hol in (1, -1)]
+    # non-basis loops, so that V in U M V = D is not symmetric
+    + [("skew", _TW1, ((1, 2), (1, -1)), (1, -1), k, 8) for k in range(1, 4)]
+    + [("skew", _TW1, ((3, 1),), (1j,), 2, 8),
+       ("product", _TW2, ((1, 1, 0, 0), (0, 1, 1, 1)), (-1, 1j), 1, 4)]
+)
+
+
+def _solve_id(name, phases, vectors, targets, k, mesh):
+    loops = "shell" if isinstance(vectors, str) else "_".join(
+        "".join(map(str, v)) for v in vectors) or "none"
+    return f"{name}-{'tw' if any(phases) else 'chi0'}-{loops}-{targets}-k{k}".replace(" ", "")
+
+
+@pytest.mark.parametrize("name,phases,vectors,targets,k,mesh", _SOLVE_INPUTS,
+                         ids=[_solve_id(*c) for c in _SOLVE_INPUTS])
+def test_solve_holonomy_matches_reference_solver(name, phases, vectors, targets, k, mesh):
+    """One coordinate array and one Smith path for every target count give
+    the former solver's points bit for bit, in the same order."""
+    if name == "product":
+        torus = _product_surface()
+    elif name == "generic":
+        torus = tk.PolarizedTorus(n=2, basis=np.vstack([np.eye(2), _Z.T]),
+                                  H=np.linalg.inv(_Z.imag))
+    else:
+        torus = tk.standard_torus(*_N1[name])
+    if vectors == "first shell":
+        vectors = tuple(v.coords for v in _independent_first_shell(tk.shells(torus)))
+        targets = (targets,) * len(vectors)
+    chi = tk.Semicharacter(phases)
+    target = tk.HolonomyTarget(vectors=vectors, targets=tuple(map(complex, targets)), k=k)
+    got = tk.solve_holonomy(torus, chi, target, mesh=mesh)
+    want = _reference_solve_holonomy(torus, chi, target, mesh=mesh)
+    assert [p.coords for p in got.points] == [p.coords for p in want.points]
+    assert got.underdetermined == want.underdetermined
+    assert got.free_directions == want.free_directions
+    if name == "generic":
+        assert len(got.points) == 1024
 
 
 def test_find_extrema_square(sq1, chi0):

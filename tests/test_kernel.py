@@ -95,6 +95,23 @@ def test_radius_override(sq1, chi0):
     assert abs(small.value - large.value) <= small.density_halfwidth(sq1.n, 1)
 
 
+def test_radius_override_must_be_finite_and_enumerable(sq1, chi0):
+    """A NaN radius used to hang the tail loop (max(nan, l1) is nan), and
+    1e300 overflowed the enumeration count and the tail bound."""
+    p = tk.TorusPoint.zero(sq1)
+    callers = (lambda r: tk.rho_diag(sq1, chi0, 1, p, radius=r),
+               lambda r: tk.rho_grid(sq1, chi0, 1, 8, radius=r),
+               lambda r: tk.offdiag_bound(sq1, 1, p, p, radius=r))
+    for call in callers:
+        for bad in (float("nan"), float("inf"), -float("inf")):
+            with pytest.raises(tk.ValidationError):
+                call(bad)
+        with pytest.raises(tk.RadiusTooLarge) as exc:
+            call(1e300)
+        assert isinstance(exc.value.required_cap, int)
+        assert exc.value.required_cap > tk.lattice.ENUM_CAP
+
+
 def test_gradient_matches_finite_differences(rng):
     """Analytic gradient in lattice coordinates against central differences."""
     h = 1e-6

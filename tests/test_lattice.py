@@ -290,6 +290,18 @@ def test_torus_distance(sq1):
     r = tk.TorusPoint.from_coords(sq1, np.array([0.9, 0.0]))
     assert abs(tk.torus_distance(sq1, p, r) - 0.1 * math.sqrt(TWO_PI)) < 1e-12
     assert tk.torus_distance(sq1, p, p) < 1e-15
+    # points given by far lifts: only the reduced coordinates matter, and
+    # the distance is the shortest lift difference over nearby translates
+    s = tk.TorusPoint.from_coords(sq1, np.array([0.3, 0.85]))
+    for sgn in (1, -1):
+        shift = sgn * (3 * sq1.basis[0] - 2 * sq1.basis[1])
+        for a, b in ((p, q), (p, r), (q, r), (r, s), (s, q)):
+            far_a = tk.TorusPoint.from_lift(sq1, a.lift + shift)
+            far_b = tk.TorusPoint.from_lift(sq1, b.lift - shift)
+            want = min(sq1.length_of(b.lift - a.lift + sq1.embed(np.array(c)))
+                       for c in itertools.product(range(-2, 3), repeat=2))
+            assert abs(tk.torus_distance(sq1, a, b) - want) < 1e-14
+            assert abs(tk.torus_distance(sq1, far_a, far_b) - want) < 1e-14
 
 
 def test_nearest_distance_is_min_of_pairwise(rng, skew):
@@ -300,6 +312,12 @@ def test_nearest_distance_is_min_of_pairwise(rng, skew):
         targets = [tk.TorusPoint.from_coords(torus, rng.random(m)) for _ in range(40)]
         want = min(tk.torus_distance(torus, p, q) for q in targets)
         assert _lattice._nearest_distance(torus, p, targets) == want
+        # the same points from lifts shifted by +-(3 lambda_1 - 2 lambda_2)
+        for sgn in (1, -1):
+            shift = sgn * (3 * torus.basis[0] - 2 * torus.basis[1])
+            far_p = tk.TorusPoint.from_lift(torus, p.lift + shift)
+            far = [tk.TorusPoint.from_lift(torus, q.lift - shift) for q in targets]
+            assert abs(_lattice._nearest_distance(torus, far_p, far) - want) < 1e-14
 
 
 def test_product_torus(sq1, d2):
