@@ -466,8 +466,9 @@ def enumerate_within(torus, radius, cap=ENUM_CAP):
     them.  Nothing is cached here: only the shortest length and the
     truncation radii are memoised per torus, and they are dropped with
     the torus.  Raises RadiusTooLarge when the search meets more than
-    ``cap`` candidate vectors.
+    ``cap`` candidate vectors, and ValidationError for a non-finite radius.
     """
+    _check_finite((radius,), "radius")
     return _lattice_vectors(torus, *_enumerate_sorted(torus, radius, cap=cap))
 
 
@@ -476,9 +477,10 @@ def enumerate_shifted(torus, shift, radius, cap=ENUM_CAP):
 
     ``shift`` is a vector in C^n.  Returns (coords, embeddings, lengths)
     arrays sorted by length then coordinates, from the same array core
-    as ``enumerate_within`` and likewise uncached; the zero translate is
-    included when shift lies in the lattice.
+    as ``enumerate_within`` and likewise uncached, with its radius check;
+    the zero translate is included when shift lies in the lattice.
     """
+    _check_finite((radius,), "radius")
     off = torus.coords_from_lift(shift)
     coords, lengths = _enumerate_sorted(torus, radius, offset=off, cap=cap)
     return coords, (coords + off) @ torus.basis, lengths
@@ -560,14 +562,16 @@ def automorphy_factor(torus, chi, k, coords, z):
 
     a_k(lambda, z) = chi(lambda)^k * exp(k*pi*H(z, lambda) + (k*pi/2)*H(lambda, lambda))
     for lambda with the given integer coordinates and z in C^n.  Sections
-    of the k-th power satisfy f(z + lambda) = a_k(lambda, z) f(z).
+    of the k-th power satisfy f(z + lambda) = a_k(lambda, z) f(z).  A z of
+    shape (P, n) gives P multipliers with one chi phase; others a complex.
     """
     lam = torus.embed(np.asarray(coords, dtype=np.int64))
-    z = np.asarray(z, dtype=complex).reshape(torus.n)
-    hzl = torus.hermitian_pair(z, lam)
+    z = np.asarray(z, dtype=complex)
+    hzl = (z if z.ndim == 2 else z.reshape(1, torus.n)) @ torus.H @ lam.conj()
     hll = torus.hermitian_pair(lam, lam)
     turns = k * chi_phase_turns(chi, torus, coords)
-    return complex(np.exp(2j * math.pi * turns) * np.exp(k * math.pi * hzl + 0.5 * k * math.pi * hll))
+    out = np.exp(2j * math.pi * turns) * np.exp(k * math.pi * hzl + 0.5 * k * math.pi * hll)
+    return out if z.ndim == 2 else complex(out[0])
 
 
 # -- convenience constructors and plumbing ---------------------------------

@@ -17,7 +17,8 @@ equation f(z + lambda) = a_k(lambda, z) f(z) at random points, and the
 series cutoff is checked a posteriori to leave tails below 1e-14.
 
 The density oracle is then the linear-algebra route: Gram matrix by
-periodized trapezoid quadrature (spectrally accurate here), and
+periodized trapezoid quadrature (spectrally accurate here; a term is a
+root of unity per node column times one exponential per row), and
 
     rho(p) = conj(F)^T G^{-1} F * exp(-k*pi*h0*|p~|^2),   F_i = f_i(p~),
 
@@ -31,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CharacteristicSolveFailed, CutoffTooSmall, SingularGram
+from .errors import CharacteristicSolveFailed, CutoffTooSmall, SingularGram, ValidationError
 from .lattice import TWO_PI, Semicharacter, _as_point, automorphy_factor, standard_torus
 
 RESIDUAL_TOL = 1e-9
@@ -133,10 +134,7 @@ def _check_functional_equation(basis):
     vals = basis.evaluate(z)
     for coords, lam in (((1, 0), 1.0 + 0j), ((0, 1), basis.tau)):
         shifted = basis.evaluate(z + lam)
-        factors = np.array([
-            automorphy_factor(basis.torus, basis.chi, basis.k, coords, [zz]) for zz in z
-        ])
-        expect = vals * factors
+        expect = vals * automorphy_factor(basis.torus, basis.chi, basis.k, coords, z[:, None])
         resid = np.abs(shifted - expect) / (np.abs(expect) + 1e-280)
         worst = float(np.max(resid))
         # inverted comparison so a nan residual can never slip through
@@ -159,11 +157,20 @@ class GramMatrix:
 
 
 def _gram_at(basis, res):
-    c1, c2 = np.meshgrid(np.arange(res) / res, np.arange(res) / res, indexing="ij")
-    z = (c1 + c2 * basis.tau).reshape(-1)
-    vals = basis.evaluate(z)                       # (N, P)
-    w = basis.weight(z)
-    vol_factor = TWO_PI * (basis.d / basis.tau.imag) * basis.tau.imag / z.size
+    j = np.arange(res)
+    roots = np.exp(2j * math.pi * j / res)
+    N = basis.N
+    # phases w^(N*m*a) shared by every residue, then the twist w^(r*a)
+    table = roots[np.outer(j, basis._F[0]) % res]                     # (a, m)
+    twist = roots[np.outer(j, np.arange(N)) % res]                    # (a, r)
+    mag = np.exp(basis._E.T[:, :, None]
+                 + 2j * math.pi * np.multiply.outer(basis._F.T, basis.tau * j / res))
+    series = (table @ mag.reshape(-1, N * res)).reshape(res, N, res) * twist[:, :, None]
+    z = np.add.outer(j / res, j / res * basis.tau)                     # (a, b)
+    series *= np.exp(basis._a * z ** 2 + basis._b * z)[:, None, :]
+    vals = series.transpose(1, 0, 2).reshape(N, -1)                   # (N, P)
+    w = basis.weight(z).reshape(-1)
+    vol_factor = TWO_PI * (basis.d / basis.tau.imag) * basis.tau.imag / w.size
     G = vol_factor * (vals * w) @ vals.conj().T
     return 0.5 * (G + G.conj().T)
 
@@ -174,6 +181,12 @@ def build_gram(basis, quad_res=128):
     The integrand f_i conj(f_j) exp(-k*phi) is doubly periodic, so the
     equispaced product rule converges spectrally; the change under
     halving the resolution is recorded and the inverse is computed once.
+    ``quad_res`` must be an integer of at least 8 (ValidationError).
+    At a node z = a/res + (b/res)*tau a series term exp(E + 2*pi*i*F*z)
+    factors exactly into the root of unity w^(F*a mod res), reduced in
+    integers, and exp(E + 2*pi*i*F*tau*b/res), one combined exponent per
+    term and row as in ``evaluate``; the term sum is then one matmul with
+    O(N*M*res) exponentials, on the same nodes and weights.
 
     Sections in the residue parametrization can differ in norm by many
     orders of magnitude, which inflates the raw condition number without
@@ -181,8 +194,8 @@ def build_gram(basis, quad_res=128):
     inversion run on the diagonally rescaled matrix (the density is
     invariant under rescaling the basis).
     """
-    if quad_res < 8:
-        raise ValueError("quad_res must be at least 8")
+    if isinstance(quad_res, bool) or not isinstance(quad_res, (int, np.integer)) or quad_res < 8:
+        raise ValidationError(f"quad_res must be an integer of at least 8, got {quad_res!r}")
     G = _gram_at(basis, quad_res)
     G_half = _gram_at(basis, quad_res // 2)
     scale = float(np.max(np.abs(G)))
@@ -201,8 +214,7 @@ def build_gram(basis, quad_res=128):
 
 def rho_oracle(basis, gram, p):
     """Bergman density at a torus point from the section basis."""
-    p = _as_point(basis.torus, p)
-    z = complex(np.asarray(p.lift).reshape(1)[0])
+    z = complex(_as_point(basis.torus, p).lift[0])
     F = basis.evaluate(z)
     val = float(np.real(F.conj() @ (gram.inverse @ F)))
     return val * float(basis.weight(z))
@@ -210,10 +222,8 @@ def rho_oracle(basis, gram, p):
 
 def offdiag_oracle(basis, gram, x, y):
     """|K_k(x, y)| with the symmetric weight normalization."""
-    x = _as_point(basis.torus, x)
-    y = _as_point(basis.torus, y)
-    zx = complex(np.asarray(x.lift).reshape(1)[0])
-    zy = complex(np.asarray(y.lift).reshape(1)[0])
+    zx = complex(_as_point(basis.torus, x).lift[0])
+    zy = complex(_as_point(basis.torus, y).lift[0])
     Fx = basis.evaluate(zx)
     Fy = basis.evaluate(zy)
     val = abs(Fy.conj() @ (gram.inverse @ Fx))

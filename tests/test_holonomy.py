@@ -2,11 +2,14 @@
 
 import cmath
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import toruskernel as tk
+
+from toruskernel.holonomy import DEFAULT_ODE_STEPS, RK4_BLOCK, STEPS_PER_UNIT_RATE
 
 from conftest import random_chi, random_torus
 
@@ -125,3 +128,89 @@ def test_transport_step_refinement(sq1):
             for n in (400, 800, 1600)]
     assert errs[2] < errs[0]
     assert errs[2] < 1e-9
+
+
+def _loop_hol_ode(torus, chi, k, p, v, steps=None):
+    """The pointwise RK4 loop that ``hol_ode`` replaced by one product of
+    step factors: same stages, same h, same step policy and checks."""
+    v = tk.LatticeVector.from_coords(torus, v)
+    kpi = k * math.pi
+    a0 = kpi * torus.hermitian_pair(v.embedding, p.lift)
+    a1 = kpi * torus.hermitian_pair(v.embedding, v.embedding)
+    if steps is None:
+        steps = max(DEFAULT_ODE_STEPS, int(STEPS_PER_UNIT_RATE * (abs(a0) + abs(a1))) + 1)
+
+    def c(t):
+        return a0 + t * a1
+
+    u = 1.0 + 0.0j
+    h = 1.0 / steps
+    for i in range(steps):
+        t = i * h
+        k1 = c(t) * u
+        k2 = c(t + 0.5 * h) * (u + 0.5 * h * k1)
+        k3 = c(t + 0.5 * h) * (u + 0.5 * h * k2)
+        k4 = c(t + h) * (u + h * k3)
+        u = u + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    hol = u / tk.automorphy_factor(torus, chi, k, v.coords, p.lift)
+    assert abs(abs(hol) - 1.0) <= 1e-6
+    return hol / abs(hol)
+
+
+def _transport_instances(rng):
+    """40 instances: 100 steps on short loops of the square torus, one
+    block + 1 steps on random n = 1 tori, two blocks exactly on the n = 2
+    product and generic surfaces, and the default policy on longer loops."""
+    z = np.array([[0.2 + 1.1j, 0.3 + 0.25j], [0.3 + 0.25j, 0.1 + 0.9j]])
+    surfaces = (tk.product_torus(tk.standard_torus(1j, 1), tk.standard_torus(0.3 + 1.2j, 1)),
+                tk.PolarizedTorus(n=2, basis=np.vstack([np.eye(2), z.T]), H=np.linalg.inv(z.imag)))
+    for i in range(40):
+        kind = i % 4
+        if kind == 0:
+            torus, k, steps = tk.standard_torus(1j, 1), 1, 100
+            coords, v = 0.2 * rng.random(2), [(1, 0), (0, 1)][i % 8 // 4]
+        elif kind == 2:
+            torus, k, steps = surfaces[i % 8 // 4], int(rng.integers(1, 3)), 2 * RK4_BLOCK
+            coords, v = rng.random(4), tuple(int(j == i % 16 // 4) for j in range(4))
+        else:
+            torus, steps = random_torus(rng), (RK4_BLOCK + 1 if kind == 1 else None)
+            k = int(rng.integers(1, 3 if kind == 1 else 5))
+            coords = rng.random(2)
+            v = [(1, 0), (0, 1), (1, 1)][i % 3] if kind == 1 else tuple(rng.integers(-3, 4, size=2))
+            if not any(v):
+                v = (1, 0)
+        chi = random_chi(rng, torus.n)
+        yield torus, chi, k, tk.TorusPoint.from_coords(torus, coords), v, steps
+
+
+def test_transport_product_matches_rk4_loop(rng):
+    """hol_ode's block product of step factors is the RK4 loop, step for step."""
+    for torus, chi, k, p, v, steps in _transport_instances(rng):
+        got = tk.hol_ode(torus, chi, k, p, v, steps=steps)
+        assert abs(got.value - _loop_hol_ode(torus, chi, k, p, v, steps)) < 1e-12
+
+
+def test_calibration_matches_rk4_loop():
+    """The calibration instance gives the same sign and margin through
+    the loop as through the product."""
+    report = tk.calibration_report()
+    torus, chi = tk.standard_torus(1j, 1), tk.Semicharacter.trivial(1)
+    p = tk.TorusPoint.from_coords(torus, [0.25, 0.0])
+    ref = _loop_hol_ode(torus, chi, 1, p, (0, 1), DEFAULT_ODE_STEPS)
+    closed = tk.hol_closed(torus, chi, 1, p, (0, 1)).value
+    assert report.sign == 1
+    assert abs(abs(closed - ref) - report.mismatch_plus) < 1e-12
+
+
+def test_transport_memory_is_one_block(sq1):
+    """200000 steps hold one block of step factors, not all of them."""
+    chi = tk.Semicharacter((0.37, 0.21))
+    p = tk.TorusPoint.from_coords(sq1, np.array([0.3, 0.6]))
+    tk.hol_ode(sq1, chi, 2, p, [1, 1], steps=1000)   # calibration and lazy set-up run untraced
+    tracemalloc.start()
+    try:
+        tk.hol_ode(sq1, chi, 2, p, [1, 1], steps=200_000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20

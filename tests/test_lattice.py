@@ -125,6 +125,23 @@ def test_shifted_enumeration_cap_raises(skew):
     assert exc.value.required_cap > 100
 
 
+def test_enumeration_rejects_non_finite_radius(skew):
+    """NaN used to find nothing and inf to overflow the cap estimate; a
+    negative radius stays empty and 1e300 stays RadiusTooLarge."""
+    shift = skew.embed(np.array([0.3, 0.4]))
+    for radius in (math.nan, math.inf, -math.inf):
+        with pytest.raises(tk.ValidationError):
+            tk.enumerate_within(skew, radius)
+        with pytest.raises(tk.ValidationError):
+            tk.enumerate_shifted(skew, shift, radius)
+    assert tk.enumerate_within(skew, -1.0) == []
+    assert len(tk.enumerate_shifted(skew, shift, -1.0)[0]) == 0
+    with pytest.raises(tk.RadiusTooLarge):
+        tk.enumerate_within(skew, 1e300)
+    with pytest.raises(tk.RadiusTooLarge):
+        tk.enumerate_shifted(skew, shift, 1e300)
+
+
 # The n = 2 surfaces of the order test: a product of two elliptic curves,
 # and a generic principally polarized surface (basis [I; Z^T], H = (Im Z)^-1).
 _Z = np.array([[0.2 + 1.1j, 0.3 + 0.25j], [0.3 + 0.25j, 0.1 + 0.9j]])

@@ -1,6 +1,7 @@
 """Section-basis oracle: construction checks, Gram matrix, density match."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -47,8 +48,89 @@ def test_gram_structure(rng, chi0):
 
 def test_gram_rejects_coarse_quadrature(chi0):
     basis = tk.build_basis(1j, 1, chi0, 1)
-    with pytest.raises(ValueError):
-        tk.build_gram(basis, quad_res=4)
+    for quad_res in (4, 64.0, True):
+        with pytest.raises(tk.ValidationError):
+            tk.build_gram(basis, quad_res=quad_res)
+
+
+def _pointwise_gram_at(basis, res):
+    """The former quadrature: every term exponentiated at every node."""
+    c1, c2 = np.meshgrid(np.arange(res) / res, np.arange(res) / res, indexing="ij")
+    z = (c1 + c2 * basis.tau).reshape(-1)
+    vals = basis.evaluate(z)                       # (N, P)
+    w = basis.weight(z)
+    vol_factor = TWO_PI * (basis.d / basis.tau.imag) * basis.tau.imag / z.size
+    G = vol_factor * (vals * w) @ vals.conj().T
+    return 0.5 * (G + G.conj().T)
+
+
+def _pointwise_gram(basis, res):
+    """build_gram's post-processing on the pointwise quadrature."""
+    G = _pointwise_gram_at(basis, res)
+    scale = float(np.max(np.abs(G)))
+    rel_change = float(np.max(np.abs(G - _pointwise_gram_at(basis, res // 2)))) / scale
+    d = 1.0 / np.sqrt(np.abs(np.diag(G)))
+    B = G * np.outer(d, d)
+    return tk.GramMatrix(matrix=G, inverse=np.linalg.inv(B) * np.outer(d, d), quad_res=res,
+                         rel_change=rel_change, cond=float(np.linalg.cond(B)))
+
+
+_GRAM_TAUS = (1j, 2j, 0.3 + 1.2j, -0.2 + 0.9j)
+
+
+@pytest.mark.parametrize("tau", _GRAM_TAUS, ids=[str(t) for t in _GRAM_TAUS])
+def test_separable_gram_matches_pointwise_quadrature(tau):
+    """The phase/magnitude split is the same trapezoid rule: entries,
+    rel_change and the condition number agree with the pointwise
+    quadrature at even and odd resolutions, and so do the oracles."""
+    chi = tk.Semicharacter((0.37, 0.61))
+    for d in (1, 2, 3):
+        for k in (1, 2, 3, 4):
+            basis = tk.build_basis(tau, d, chi, k)
+            for res in (8, 9, 16, 128):
+                ref = _pointwise_gram(basis, res)
+                gram = tk.build_gram(basis, quad_res=res)
+                scale = np.max(np.abs(ref.matrix))
+                assert np.max(np.abs(gram.matrix - ref.matrix)) <= 1e-13 * scale
+                assert abs(gram.rel_change - ref.rel_change) <= 1e-13
+                assert abs(gram.cond - ref.cond) <= 1e-9 * ref.cond
+                if res == 128:
+                    x, y = (tk.TorusPoint.from_coords(basis.torus, np.array(c))
+                            for c in ((0.23, 0.71), (0.64, 0.08)))
+                    for a, b in ((tk.rho_oracle(basis, gram, x), tk.rho_oracle(basis, ref, x)),
+                                 (tk.offdiag_oracle(basis, gram, x, y),
+                                  tk.offdiag_oracle(basis, ref, x, y))):
+                        assert abs(a - b) <= 1e-13 * abs(b)
+
+
+def test_gram_memory_is_one_node_table(chi0):
+    """N = 12 at quad_res 128 holds node-sized arrays, not a
+    (sections, terms, nodes) tensor."""
+    basis = tk.build_basis(1j, 3, chi0, 4)
+    tk.build_gram(basis, quad_res=16)
+    tracemalloc.start()
+    try:
+        tk.build_gram(basis, quad_res=128)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 20 * 2 ** 20
+
+
+def test_batched_automorphy_factor_matches_pointwise(rng):
+    """A (P, n) z gives the per-point multipliers, up to the rounding of
+    an exponent of size ~30; an (n,) z gives a complex."""
+    z = np.array([[0.2 + 1.1j, 0.3 + 0.25j], [0.3 + 0.25j, 0.1 + 0.9j]])
+    surface = tk.PolarizedTorus(n=2, basis=np.vstack([np.eye(2), z.T]), H=np.linalg.inv(z.imag))
+    for torus in (tk.standard_torus(0.3 + 1.2j, 2), surface):
+        chi = random_chi(rng, torus.n)
+        pts = rng.normal(size=(9, torus.n)) + 1j * rng.normal(size=(9, torus.n))
+        for k, coords in ((1, [1] + [0] * (2 * torus.n - 1)), (3, list(range(1, 2 * torus.n + 1)))):
+            batch = tk.automorphy_factor(torus, chi, k, coords, pts)
+            single = [tk.automorphy_factor(torus, chi, k, coords, p) for p in pts]
+            assert batch.shape == (9,)
+            assert all(isinstance(a, complex) for a in single)
+            assert np.max(np.abs(batch - single) / np.abs(single)) <= 1e-13
 
 
 def test_oracle_matches_loop_sum(rng, chi0):
