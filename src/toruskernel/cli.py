@@ -2,15 +2,19 @@
 
 Subcommands: validate, rho, grid, oracle, compare, cylinder, extrema,
 rigidity, offdiag, hol.  Bundle data comes from a JSON config
-(--config); numeric knobs are flags.  Output goes to stdout or --out.
+(--config); numeric knobs are flags, and each subcommand accepts only
+the flags it reads (``_COMMANDS``).  Output goes to stdout or --out.
 All floats print with 17 significant digits and CSV layouts are fixed,
 so reruns on the same inputs are byte-identical.  Exit codes: 0 on
-success, 1 on validation/config errors, 2 on numeric failures.
+success; 1 on a ValidationError, usage errors included (an unknown
+flag, a malformed value, a missing subcommand) and an unwritable --out;
+2 on a NumericError.  ``--help`` exits 0.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import sys
 
@@ -18,11 +22,10 @@ import numpy as np
 
 from . import cylinder as cyl
 from .config import load_bundle
-from .errors import NumericError, ValidationError
+from .errors import NumericError, ValidationError, check_count
 from .extrema import compare_bundles, find_extrema, localization_sweep
 from .holonomy import hol_closed, hol_ode
-from .kernel import (_check_power, _check_resolution, integral_check, offdiag_bound, rho_diag,
-                     rho_grid)
+from .kernel import offdiag_bound, rho_diag, rho_grid
 from .lattice import Semicharacter, TorusPoint, validate
 from .theta import build_basis, build_gram, rho_oracle
 
@@ -31,66 +34,55 @@ def _fmt(x):
     return f"{float(x):.17g}"
 
 
-def _parse_floats(text, count, what):
+def _parse_list(text, count, what, kind=float):
     try:
-        parts = [float(p) for p in text.split(",")]
+        parts = [kind(p) for p in text.split(",")]
     except ValueError:
-        raise ValidationError(f"{what} must be a comma-separated float list")
-    if len(parts) != count:
-        raise ValidationError(f"{what} needs {count} entries, got {len(parts)}")
-    return parts
-
-
-def _parse_ints(text, count, what):
-    try:
-        parts = [int(p) for p in text.split(",")]
-    except ValueError:
-        raise ValidationError(f"{what} must be a comma-separated integer list")
+        raise ValidationError(f"{what} must be a comma-separated {kind.__name__} list")
     if len(parts) != count:
         raise ValidationError(f"{what} needs {count} entries, got {len(parts)}")
     return parts
 
 
 def _point(args, bundle, flag="point"):
-    raw = getattr(args, flag, None)
+    raw = getattr(args, flag)
     if raw is None:
-        raise ValidationError(f"--{flag.replace('_', '')} is required for this subcommand")
-    coords = _parse_floats(raw, 2 * bundle.torus.n, f"--{flag}")
+        raise ValidationError(f"--{flag} is required for this subcommand")
+    coords = _parse_list(raw, 2 * bundle.torus.n, f"--{flag}")
     return TorusPoint.from_coords(bundle.torus, np.array(coords))
 
 
 def _power(args, bundle):
-    """The --k override, validated, or else the config's power."""
-    if args.k is None:
-        return bundle.k
-    _check_power(args.k)
-    return args.k
+    """The --k override, or else the config's power; the library checks it."""
+    return bundle.k if args.k is None else args.k
 
 
-def _out_stream(args):
-    if args.out:
-        return open(args.out, "w", newline="")
-    return None
+@contextlib.contextmanager
+def _output(args):
+    """The --out file, closed on any exit, or stdout; a path that cannot
+    be written is a ValidationError."""
+    if not args.out:
+        yield sys.stdout
+        return
+    try:
+        with open(args.out, "w", newline="") as fh:
+            yield fh
+    except OSError as exc:
+        raise ValidationError(f"cannot write --out: {exc}") from None
 
 
 def _emit(args, lines):
-    fh = _out_stream(args)
-    target = fh or sys.stdout
-    for line in lines:
-        print(line, file=target)
-    if fh:
-        fh.close()
+    with _output(args) as fh:
+        for line in lines:
+            print(line, file=fh)
 
 
 def _csv_rows(args, header, rows):
-    fh = _out_stream(args)
-    target = fh or sys.stdout
-    writer = csv.writer(target, lineterminator="\n")
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow([_fmt(x) if isinstance(x, float) else str(x) for x in row])
-    if fh:
-        fh.close()
+    with _output(args) as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([_fmt(x) if isinstance(x, float) else str(x) for x in row])
 
 
 def _cmd_validate(args):
@@ -119,10 +111,8 @@ def _cmd_grid(args):
     bundle = load_bundle(args.config)
     k = _power(args, bundle)
     field = rho_grid(bundle.torus, bundle.chi, k, args.res, eps=args.eps, radius=args.radius)
-    fh = _out_stream(args)
-    field.write_csv(fh or sys.stdout)
-    if fh:
-        fh.close()
+    with _output(args) as fh:
+        field.write_csv(fh)
     return 0
 
 
@@ -131,7 +121,7 @@ def _cmd_oracle(args):
     if bundle.torus.n != 1:
         raise ValidationError("the oracle subcommand needs an n = 1 config")
     k = _power(args, bundle)
-    _check_resolution(args.res, 1)
+    check_count(args.res, 1, "--res")
     tau = complex(bundle.torus.basis[1, 0] / bundle.torus.basis[0, 0])
     d = bundle.torus.pfaffian_abs()
     basis = build_basis(tau, d, bundle.chi, k)
@@ -152,7 +142,7 @@ def _cmd_compare(args):
     bundle = load_bundle(args.config)
     if args.chi2 is None:
         raise ValidationError("--chi2 phases are required for compare")
-    phases = _parse_floats(args.chi2, 2 * bundle.torus.n, "--chi2")
+    phases = _parse_list(args.chi2, 2 * bundle.torus.n, "--chi2")
     k = _power(args, bundle)
     cmp = compare_bundles(bundle.torus, bundle.chi, Semicharacter(tuple(phases)), k,
                           resolution=args.res, eps=args.eps)
@@ -171,7 +161,7 @@ def _cmd_compare(args):
 
 
 def _cmd_cylinder(args):
-    _check_resolution(args.res, 1)
+    check_count(args.res, 1, "--res")
     ts = np.linspace(args.tmin, args.tmax, args.res)
     rows = []
     for t in ts:
@@ -231,7 +221,7 @@ def _cmd_hol(args):
     p = _point(args, bundle)
     if args.vector is None:
         raise ValidationError("--vector coordinates are required for hol")
-    coords = _parse_ints(args.vector, 2 * bundle.torus.n, "--vector")
+    coords = _parse_list(args.vector, 2 * bundle.torus.n, "--vector", int)
     closed = hol_closed(bundle.torus, bundle.chi, k, p, coords)
     ode = hol_ode(bundle.torus, bundle.chi, k, p, coords, steps=args.steps)
     _emit(args, [
@@ -244,66 +234,70 @@ def _cmd_hol(args):
     return 0
 
 
+_FLAGS = {
+    "config": dict(help="JSON bundle config"),
+    "out": dict(help="output file (default stdout)"),
+    "k": dict(type=int, default=None, help="power override"),
+    "eps": dict(type=float, default=1e-10, help="series tail target"),
+    "res": dict(type=int, default=32, help="grid resolution"),
+    "radius": dict(type=float, default=None, help="override the series truncation radius"),
+    "point": dict(help="comma-separated lattice coordinates"),
+    "point2": dict(help="second point coordinates"),
+    "vector": dict(help="comma-separated integer loop coordinates"),
+    "steps": dict(type=int, default=None,
+                  help="transport RK4 steps (default: scaled to the loop)"),
+    "chi2": dict(help="second semicharacter phases"),
+    "eta": dict(type=float, default=1.0),
+    "alpha": dict(type=float, default=0.0),
+    "tmin": dict(type=float, default=-1.0),
+    "tmax": dict(type=float, default=1.0),
+    "kmin": dict(type=int, default=2),
+    "kmax": dict(type=int, default=6),
+}
+
+# subcommand -> (handler, the flags it reads)
 _COMMANDS = {
-    "validate": _cmd_validate,
-    "rho": _cmd_rho,
-    "grid": _cmd_grid,
-    "oracle": _cmd_oracle,
-    "compare": _cmd_compare,
-    "cylinder": _cmd_cylinder,
-    "extrema": _cmd_extrema,
-    "rigidity": _cmd_rigidity,
-    "offdiag": _cmd_offdiag,
-    "hol": _cmd_hol,
+    "validate": (_cmd_validate, ("config", "out")),
+    "rho": (_cmd_rho, ("config", "out", "k", "eps", "radius", "point")),
+    "grid": (_cmd_grid, ("config", "out", "k", "eps", "res", "radius")),
+    "oracle": (_cmd_oracle, ("config", "out", "k", "eps", "res")),
+    "compare": (_cmd_compare, ("config", "out", "k", "eps", "res", "chi2")),
+    "cylinder": (_cmd_cylinder, ("out", "k", "res", "eta", "alpha", "tmin", "tmax")),
+    "extrema": (_cmd_extrema, ("config", "out", "k", "res")),
+    "rigidity": (_cmd_rigidity, ("config", "out", "res", "kmin", "kmax")),
+    "offdiag": (_cmd_offdiag, ("config", "out", "k", "eps", "radius", "point", "point2")),
+    "hol": (_cmd_hol, ("config", "out", "k", "point", "vector", "steps")),
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """A usage error is a ValidationError: exit 1, not argparse's 2."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"ValidationError: {message}\n")
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(prog="toruskernel",
-                                     description="Bergman densities on polarized tori")
+    parser = _Parser(prog="toruskernel", description="Bergman densities on polarized tori")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in _COMMANDS:
+    for name, (_, flags) in _COMMANDS.items():
         p = sub.add_parser(name)
-        p.add_argument("--config", help="JSON bundle config")
-        p.add_argument("--out", help="output file (default stdout)")
-        p.add_argument("--k", type=int, default=None, help="power override")
-        p.add_argument("--eps", type=float, default=1e-10, help="series tail target")
-        p.add_argument("--res", type=int, default=32, help="grid resolution")
-        p.add_argument("--radius", type=float, default=None,
-                       help="override the series truncation radius")
-        p.add_argument("--point", help="comma-separated lattice coordinates")
-        if name == "offdiag":
-            p.add_argument("--point2", help="second point coordinates")
-        if name == "hol":
-            p.add_argument("--vector", help="comma-separated integer loop coordinates")
-            p.add_argument("--steps", type=int, default=None,
-                           help="transport RK4 steps (default: scaled to the loop)")
-        if name == "compare":
-            p.add_argument("--chi2", help="second semicharacter phases")
-        if name == "cylinder":
-            p.add_argument("--eta", type=float, default=1.0)
-            p.add_argument("--alpha", type=float, default=0.0)
-            p.add_argument("--tmin", type=float, default=-1.0)
-            p.add_argument("--tmax", type=float, default=1.0)
-        if name == "rigidity":
-            p.add_argument("--kmin", type=int, default=2)
-            p.add_argument("--kmax", type=int, default=6)
+        for flag in flags:
+            p.add_argument(f"--{flag}", **_FLAGS[flag])
     return parser
 
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
-    needs_config = args.command != "cylinder"
+    handler, flags = _COMMANDS[args.command]
     try:
-        if needs_config and not args.config:
+        if "config" in flags and not args.config:
             raise ValidationError("--config is required for this subcommand")
-        return _COMMANDS[args.command](args)
-    except ValidationError as exc:
+        return handler(args)
+    except (ValidationError, NumericError) as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
-        return 1
-    except NumericError as exc:
-        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
-        return 2
+        return 1 if isinstance(exc, ValidationError) else 2
 
 
 if __name__ == "__main__":

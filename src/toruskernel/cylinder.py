@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, check_count, check_finite
 
 TWO_PI = 2.0 * math.pi
 
@@ -52,14 +52,13 @@ class CylinderParams:
     m_k: float = field(init=False)
 
     def __post_init__(self):
+        check_finite((self.eta, self.alpha, self.t), "eta, alpha and t")
         if self.eta <= 0:
             raise ValidationError("eta must be positive")
         if not (0.0 <= self.alpha < 1.0):
             raise ValidationError("alpha must lie in [0, 1)")
-        if self.k < 1:
-            raise ValidationError("k must be a positive integer")
-        if self.n < 1:
-            raise ValidationError("n must be a positive integer")
+        check_count(self.k, 1, "k")
+        check_count(self.n, 1, "n")
         ka = self.k * self.alpha
         object.__setattr__(self, "m_k", ka - math.floor(ka))
 

@@ -4,12 +4,29 @@ Two families matter to callers: ``ValidationError`` for structurally bad
 input (malformed configs, forms that are not polarizations) and
 ``NumericError`` for failures of the numerical machinery itself (series
 caps, convention mismatches, unconverged quadrature).  The command line
-maps the families to exit codes 1 and 2.
+maps the families to exit codes 1 and 2.  ``check_count`` and
+``check_finite`` are the argument contract for counts and finite inputs.
 """
+
+import cmath
+
+import numpy as np
 
 
 class ValidationError(Exception):
     """Input data violates a structural requirement."""
+
+
+def check_count(value, least, what):
+    """Raise ValidationError unless value is a (numpy) integer >= least, not a bool."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+        raise ValidationError(f"{what} must be an integer of at least {least}, got {value!r}")
+
+
+def check_finite(values, what):
+    """Raise ValidationError on NaN or inf among Python numbers (a silent NaN later)."""
+    if not all(map(cmath.isfinite, values)):
+        raise ValidationError(f"{what} must be finite, got {values}")
 
 
 class ConfigParseError(ValidationError):

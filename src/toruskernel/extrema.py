@@ -33,10 +33,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FitResidualTooLarge, InconsistentSystem, ValidationError
+from .errors import FitResidualTooLarge, InconsistentSystem, ValidationError, check_count
 from .holonomy import calibration_sign
 from .intlin import extended_gcd_row, smith_normal_form
-from .kernel import DEFAULT_EPS, _check_resolution, _grid_values, _prepare
+from .kernel import DEFAULT_EPS, _grid_values, _prepare
 from .lattice import (
     TWO_PI,
     TorusPoint,
@@ -45,6 +45,9 @@ from .lattice import (
     chi_phase_turns,
     shells,
 )
+
+REFINE_ITERS = 64      # damped Newton steps per extremum candidate
+FIT_HARMONICS = 4      # loop-frequency harmonics fitted to a pushforward profile
 
 
 @dataclass(frozen=True)
@@ -78,6 +81,8 @@ def solve_holonomy(torus, chi, target, mesh=8):
     are made only for the sorted, distinct rows of X.
     """
     k = target.k
+    check_count(k, 1, "k")
+    check_count(mesh, 1, "mesh")
     vecs = [_as_vector(torus, v) for v in target.vectors]
     m = len(vecs)
     two_n = 2 * torus.n
@@ -87,7 +92,7 @@ def solve_holonomy(torus, chi, target, mesh=8):
     for j, (v, t) in enumerate(zip(vecs, target.targets)):
         t = complex(t)
         if abs(abs(t) - 1.0) > 1e-6:
-            raise ValueError(f"holonomy target {t!r} is not on the unit circle")
+            raise ValidationError(f"holonomy target {t!r} is not on the unit circle")
         b[j] = (math.atan2(t.imag, t.real) / TWO_PI
                 + k * chi_phase_turns(chi, torus, v.coords)) % 1.0
 
@@ -138,7 +143,7 @@ def _independent_first_shell(sh):
     return tuple(chosen)
 
 
-def _refine_candidate(prep, x0, kind, iters):
+def _refine_candidate(prep, x0, kind):
     """Damped Newton ascent on f = +rho (maxima) or -rho (minima) from x0.
 
     The step solves H s = -g; when H is singular or s does not point
@@ -146,12 +151,12 @@ def _refine_candidate(prep, x0, kind, iters):
     landscape g itself is too short to change f in floating point.  A
     step is capped at max-norm 0.25 and halved until f strictly improves;
     the search ends when no step down to 2^-50 improves, or after
-    ``iters`` steps.  Returns the point reduced mod 1 and its density.
+    REFINE_ITERS steps.  Returns the point reduced mod 1 and its density.
     """
     sgn = 1.0 if kind == "max" else -1.0
     x = np.array(x0, dtype=float)
     f = sgn * float(prep.density(x))
-    for _ in range(iters):
+    for _ in range(REFINE_ITERS):
         g = sgn * prep.gradient(x)
         g_max = float(np.max(np.abs(g)))
         if g_max == 0.0:
@@ -176,7 +181,7 @@ def _refine_candidate(prep, x0, kind, iters):
     return x % 1.0, sgn * f
 
 
-def find_extrema(torus, chi, k, resolution=32, refine_iters=64, eps=1e-12):
+def find_extrema(torus, chi, k, resolution=32, eps=1e-12):
     """Global density extrema with holonomy-congruence predictions.
 
     Returns (max_report, min_report).  All grid cells within 1e-9 of the
@@ -184,7 +189,7 @@ def find_extrema(torus, chi, k, resolution=32, refine_iters=64, eps=1e-12):
     the even-pairing case, where several half-period points tie) is
     preserved.
     """
-    _check_resolution(resolution, 16)
+    check_count(resolution, 16, "resolution")
     prep = _prepare(torus, chi, k, eps=eps)
     values = _grid_values(prep, resolution)
     sh = shells(torus)
@@ -196,9 +201,7 @@ def find_extrema(torus, chi, k, resolution=32, refine_iters=64, eps=1e-12):
         best = float(np.max(values) if kind == "max" else np.min(values))
         tied = np.argwhere(np.abs(values - best) <= 1e-9)
         cells = sorted(tuple(idx) for idx in tied)
-        refined = [_refine_candidate(prep, np.array(c, dtype=float) / resolution, kind,
-                                     refine_iters)
-                   for c in cells]
+        refined = [_refine_candidate(prep, np.divide(c, resolution), kind) for c in cells]
         opt = max(v for _, v in refined) if kind == "max" else min(v for _, v in refined)
         keep = [(x, v) for x, v in refined if abs(v - opt) <= 1e-9]
         locs = sorted((tuple(float(c) for c in x) for x, _ in keep))
@@ -226,12 +229,12 @@ class LocalizationRow:
     ratio: float
 
 
-def localization_sweep(torus, chi, ks, resolution=32, refine_iters=64):
+def localization_sweep(torus, chi, ks, resolution=32):
     """Distance from the refined argmax to the nearest holonomy-1 point,
     against the two-shell localization window, for each k."""
     rows = []
     for k in ks:
-        mx, _ = find_extrema(torus, chi, k, resolution=resolution, refine_iters=refine_iters)
+        mx, _ = find_extrema(torus, chi, k, resolution=resolution)
         rows.append(LocalizationRow(k=int(k), dist=mx.distance, bound=mx.window,
                                     ratio=mx.distance / mx.window))
     return rows
@@ -250,8 +253,7 @@ class PushforwardFit:
     residual: float
 
 
-def pushforward_fit(torus, chi, k, v1, samples=256, profile_samples=None, eps=1e-12,
-                    harmonics=4):
+def pushforward_fit(torus, chi, k, v1, samples=256, eps=1e-12):
     """Recover the holonomy phase of the v1-loop from the density alone.
 
     The quotient circle is parameterized through a generator u with
@@ -259,16 +261,17 @@ def pushforward_fit(torus, chi, k, v1, samples=256, profile_samples=None, eps=1e
     the fiber mesh W c / samples, c in (Z/samples)^(2n-1), W an integer
     kernel basis of that row, loop v averages to 0 unless A_v W = 0 mod
     samples, so the profile is the exact sum of w_v cos(2*pi*(t A_v u -
-    chi_v)) over the surviving loops.  It is fit at the predicted frequency
-    k*s*g; the measured spectral peak is reported alongside, and a residual
-    above 1e-6 of the fundamental amplitude raises FitResidualTooLarge.
+    chi_v)) over the surviving loops, at T = max(64, 8|k*s*g|) points, so
+    the harmonics m*k*s*g, m <= FIT_HARMONICS, are exact bins of its real
+    FFT.  The fit is those bins: the fundamental gives the phase, the
+    measured spectral peak is reported alongside, and a residual above
+    1e-6 of the fundamental amplitude raises FitResidualTooLarge.
     """
-    if samples < 1:
-        raise ValidationError(f"samples must be at least 1, got {samples!r}")
+    check_count(samples, 1, "samples")
     v1 = _as_vector(torus, v1)
     row = np.array(v1.coords, dtype=object) @ np.array(torus.E, dtype=object)
     if all(int(x) == 0 for x in row):
-        raise ValueError("v1 pairs trivially with the lattice; no circle map")
+        raise ValidationError("v1 pairs trivially with the lattice; no circle map")
     g, c_u, kernel = extended_gcd_row(row)
     lam_signed = k * calibration_sign() * g
 
@@ -276,32 +279,29 @@ def pushforward_fit(torus, chi, k, v1, samples=256, profile_samples=None, eps=1e
     fiber_gram = W.T @ torus.gram @ W
     nu = math.sqrt(max(float(np.linalg.det(np.atleast_2d(fiber_gram))), 0.0))
 
-    T = profile_samples if profile_samples is not None else max(64, 8 * abs(lam_signed))
+    lam = abs(lam_signed)
+    T = max(64, 8 * lam)
     prep = _prepare(torus, chi, k, eps=eps)
 
-    t = np.arange(T) / T
     keep = np.all(np.mod(prep.A @ W, samples) == 0, axis=1)
     freqs = prep.A[keep] @ np.array(c_u, dtype=np.int64)
     turns = np.mod(np.outer(np.arange(T), freqs), T) / T - prep.chi_turns[keep]
     profile = nu * (np.cos(TWO_PI * turns) @ prep.weights[keep])
 
-    coeffs = [
-        2.0 / T * complex(np.sum(profile * np.exp(-2j * math.pi * mm * lam_signed * t)))
-        for mm in range(1, harmonics + 1)
-    ]
-    amplitude = abs(coeffs[0])
-    spectrum = np.abs(np.fft.rfft(profile))
-    measured = int(np.argmax(spectrum[1:])) + 1
-    recon = np.zeros(T)
-    for mm, cm in enumerate(coeffs, start=1):
-        recon += (cm * np.exp(2j * math.pi * mm * lam_signed * t)).real
-    resid = float(np.max(np.abs(profile - recon)))
-    if amplitude <= 1e-280 or resid > 1e-6 * amplitude or measured != abs(lam_signed):
+    spectrum = np.fft.rfft(profile)
+    fundamental = 2.0 / T * complex(spectrum[lam] if lam_signed > 0 else spectrum[lam].conj())
+    amplitude = abs(fundamental)
+    measured = int(np.argmax(np.abs(spectrum[1:]))) + 1
+    fitted = np.zeros_like(spectrum)
+    bins = slice(lam, FIT_HARMONICS * lam + 1, lam)
+    fitted[bins] = spectrum[bins]
+    resid = float(np.max(np.abs(profile - np.fft.irfft(fitted, T))))
+    if amplitude <= 1e-280 or resid > 1e-6 * amplitude or measured != lam:
         raise FitResidualTooLarge(
             f"profile fit residual {resid:.3e} against amplitude {amplitude:.3e} "
-            f"(spectral peak {measured}, predicted {abs(lam_signed)})"
+            f"(spectral peak {measured}, predicted {lam})"
         )
-    phase = (math.atan2(coeffs[0].imag, coeffs[0].real) / TWO_PI) % 1.0
+    phase = (math.atan2(fundamental.imag, fundamental.real) / TWO_PI) % 1.0
     if phase >= 1.0:
         # float modulo can round a tiny negative up to exactly 1.0
         phase = 0.0
@@ -331,7 +331,7 @@ def compare_bundles(torus, chi_a, chi_b, k, resolution=32, eps=DEFAULT_EPS, samp
     of the k-th powers on every basis loop are compared; agreement means
     the powers are isomorphic even when the bundles themselves differ.
     """
-    _check_resolution(resolution, 2)
+    check_count(resolution, 2, "resolution")
     prep_a = _prepare(torus, chi_a, k, eps=eps)
     prep_b = _prepare(torus, chi_b, k, eps=eps)
     va = _grid_values(prep_a, resolution)

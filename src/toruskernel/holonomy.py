@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ModulusMismatch, StepCountTooSmall
+from .errors import ModulusMismatch, StepCountTooSmall, check_count, check_count
 from .lattice import (
     LatticeVector,
     Semicharacter,
@@ -84,10 +84,12 @@ def hol_ode(torus, chi, k, p, v, steps=None):
     stages and R_i = 1 + (h/6)(K1 + 2*K2 + 2*K3 + K4); u is the product
     of the R_i, taken in blocks of RK4_BLOCK steps so memory is bounded.
     ``steps=None`` picks a count scaled to the transport rate (at least
-    2000).  Raises StepCountTooSmall below 100 steps and ModulusMismatch
-    when the result strays from the unit circle by more than 1e-6, which
+    2000).  A k or ``steps`` that is not an integer >= 1 raises
+    ValidationError, 1 to 99 steps raise StepCountTooSmall, and a result
+    more than 1e-6 off the unit circle raises ModulusMismatch, which
     would mean the metric weight and the automorphy model disagree.
     """
+    check_count(k, 1, "k")
     p = _as_point(torus, p)
     v = _as_vector(torus, v)
     kpi = k * math.pi
@@ -95,6 +97,7 @@ def hol_ode(torus, chi, k, p, v, steps=None):
     a1 = kpi * torus.hermitian_pair(v.embedding, v.embedding)
     if steps is None:
         steps = max(DEFAULT_ODE_STEPS, int(STEPS_PER_UNIT_RATE * (abs(a0) + abs(a1))) + 1)
+    check_count(steps, 1, "steps")
     if steps < MIN_ODE_STEPS:
         raise StepCountTooSmall(f"need at least {MIN_ODE_STEPS} steps, got {steps}")
 
@@ -152,6 +155,7 @@ def calibration_sign() -> int:
 
 def hol_closed(torus, chi, k, p, v):
     """Closed-form holonomy of the k-th bundle power around the v-loop at p."""
+    check_count(k, 1, "k")
     p = _as_point(torus, p)
     v = _as_vector(torus, v)
     return _hol_closed_signed(torus, chi, k, p, v, calibration_sign())

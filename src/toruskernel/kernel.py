@@ -39,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import QuadratureUnconverged, ValidationError
+from .errors import NumericError, QuadratureUnconverged, ValidationError, check_count
 from .holonomy import calibration_sign
 from .lattice import (
     ENUM_CAP,
@@ -77,8 +77,7 @@ def _check_power(k, eps=None):
     fractional k or an eps of 0 or above 1 yields a number that means
     nothing.  NaN and infinities fail the range comparison.
     """
-    if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or k < 1:
-        raise ValidationError(f"k must be an integer >= 1, got {k!r}")
+    check_count(k, 1, "k")
     if eps is not None and not (isinstance(eps, numbers.Real) and 0.0 < eps < 1.0):
         raise ValidationError(f"eps must be a finite number in (0, 1), got {eps!r}")
 
@@ -91,7 +90,7 @@ def tail_bound(torus, R, k):
     _check_power(k)
     l1 = _l1(torus)
     if R < l1 * (1.0 - 1e-12):
-        raise ValueError(f"tail bound needs R >= shortest length {l1:.6g}, got {R:.6g}")
+        raise ValidationError(f"tail bound needs R >= shortest length {l1:.6g}, got {R:.6g}")
     two_n = 2 * torus.n
     total = 0.0
     j = 0
@@ -132,7 +131,7 @@ def _bisect_radius(torus, k, eps):
             break
         lo = hi
     else:
-        raise ValueError(f"no truncation radius reaches eps = {eps:g}")
+        raise NumericError(f"no truncation radius reaches eps = {eps:g}")
     for _ in range(80):
         mid = 0.5 * (lo + hi)
         if tail_bound(torus, mid, k) <= eps:
@@ -217,11 +216,6 @@ def rho_gradient(torus, chi, k, p, eps=DEFAULT_EPS, radius=None):
     return prep.gradient(np.asarray(p.coords))
 
 
-def _check_resolution(resolution, least):
-    if resolution < least:
-        raise ValidationError(f"resolution must be at least {least}, got {resolution!r}")
-
-
 def _grid_values(prep, resolution):
     """Density on the grid j/r by one scatter of w_v exp(-2*pi*i*chi_v)
     into bin A_v mod r and one inverse FFT (see the module docstring)."""
@@ -266,7 +260,7 @@ class GridField:
 def rho_grid(torus, chi, k, resolution, eps=DEFAULT_EPS, radius=None, cap=ENUM_CAP):
     """Density on the full coordinate grid; one enumeration serves every
     point."""
-    _check_resolution(resolution, 2)
+    check_count(resolution, 2, "resolution")
     prep = _prepare(torus, chi, k, eps=eps, radius=radius, cap=cap)
     values = _grid_values(prep, resolution)
     values.setflags(write=False)
@@ -281,7 +275,7 @@ def integral_check(torus, chi, k, resolution=128, eps=1e-12):
     grid mean is compared against the half-resolution mean; a change
     above 1e-3 * expected raises QuadratureUnconverged.
     """
-    _check_resolution(resolution, 8)
+    check_count(resolution, 8, "resolution")
     expected = float(k ** torus.n * torus.pfaffian_abs())
     prep = _prepare(torus, chi, k, eps=eps)
     coarse = float(np.mean(_grid_values(prep, resolution // 2)))

@@ -27,7 +27,6 @@ value after construction, so instances can be shared across threads.
 
 from __future__ import annotations
 
-import cmath
 import math
 import weakref
 from dataclasses import dataclass, field
@@ -41,11 +40,13 @@ from .errors import (
     NotPositiveDefinite,
     RadiusTooLarge,
     ValidationError,
+    check_count,
+    check_finite,
 )
 
 TWO_PI = 2.0 * math.pi
 
-#: default tolerance for rounding Im H to integers on the lattice
+#: tolerance for rounding Im H to integers on the lattice
 TOL_INT = 1e-9
 
 #: relative tolerance used to group lattice vectors into length shells
@@ -181,13 +182,6 @@ class PolarizedTorus:
         return self._chol_upper
 
 
-def _check_finite(values, what):
-    """Raise ValidationError on NaN or inf among Python numbers, which
-    would reach a density as a silent NaN."""
-    if not all(map(cmath.isfinite, values)):
-        raise ValidationError(f"{what} must be finite, got {values}")
-
-
 @dataclass(frozen=True, eq=False)
 class LatticeVector:
     """A lattice element with its integer coordinates, embedding and length."""
@@ -200,7 +194,7 @@ class LatticeVector:
     def from_coords(cls, torus, coords):
         c = np.asarray(coords, dtype=np.int64)
         if c.shape != (2 * torus.n,):
-            raise ValueError(f"coords must have length {2 * torus.n}")
+            raise ValidationError(f"coords must have length {2 * torus.n}, got shape {c.shape}")
         emb = torus.embed(c)
         emb.setflags(write=False)
         q = float(c @ torus.gram @ c)
@@ -215,7 +209,7 @@ class Semicharacter:
 
     def __post_init__(self):
         p = tuple(float(x) for x in self.phases)
-        _check_finite(p, "semicharacter phases")
+        check_finite(p, "semicharacter phases")
         object.__setattr__(self, "phases", tuple(x % 1.0 for x in p))
 
     @classmethod
@@ -234,17 +228,19 @@ class TorusPoint:
     def from_coords(cls, torus, coords):
         x = np.asarray(coords, dtype=float)
         if x.shape != (2 * torus.n,):
-            raise ValueError(f"coords must have length {2 * torus.n}")
-        _check_finite(x.tolist(), "point coordinates")
+            raise ValidationError(f"coords must have length {2 * torus.n}, got shape {x.shape}")
+        check_finite(x.tolist(), "point coordinates")
         lift = torus.embed(x)
         lift.setflags(write=False)
         return cls(lift=lift, coords=tuple(float(v % 1.0) for v in x))
 
     @classmethod
     def from_lift(cls, torus, z):
-        z = np.asarray(z, dtype=complex).reshape(torus.n)
-        _check_finite(z.tolist(), "point lift")
-        z = z.copy()
+        z = np.asarray(z, dtype=complex)
+        if z.size != torus.n:
+            raise ValidationError(f"a lift needs {torus.n} entries, got shape {z.shape}")
+        z = z.reshape(torus.n).copy()
+        check_finite(z.tolist(), "point lift")
         z.setflags(write=False)
         x = torus.coords_from_lift(z)
         return cls(lift=z, coords=tuple(float(v % 1.0) for v in x))
@@ -295,20 +291,20 @@ class Shells(NamedTuple):
     S1: list
 
 
-def _check_integral(torus, tol_int=TOL_INT):
-    """Raise IntegralityViolation if Im H is more than tol_int off the integers."""
-    if torus._integrality_residual > tol_int:
+def _check_integral(torus):
+    """Raise IntegralityViolation if Im H is more than TOL_INT off the integers."""
+    if torus._integrality_residual > TOL_INT:
         raise IntegralityViolation(f"Im H off the integer lattice by "
-                                   f"{torus._integrality_residual:.3e} (tol {tol_int:.1e})")
+                                   f"{torus._integrality_residual:.3e} (tol {TOL_INT:.1e})")
 
 
-def validate(torus, tol_int=TOL_INT):
+def validate(torus):
     """Check polarization data and return a ValidationReport.
 
     Raises DegenerateBasis if the 2n basis vectors fail to span C^n over
     R, NotPositiveDefinite if H is not Hermitian positive definite, and
     IntegralityViolation if Im H strays from integers on the lattice by
-    more than tol_int.
+    more than TOL_INT.
     """
     scale = float(np.max(np.abs(torus._B_real))) or 1.0
     if abs(torus._det_B) < 1e-12 * scale ** (2 * torus.n):
@@ -320,7 +316,7 @@ def validate(torus, tol_int=TOL_INT):
         raise NotPositiveDefinite(
             f"H must be Hermitian positive definite (min eigenvalue {min_eig:.3e})"
         )
-    _check_integral(torus, tol_int)
+    _check_integral(torus)
     return ValidationReport(
         n=torus.n,
         min_eigenvalue=min_eig,
@@ -468,7 +464,7 @@ def enumerate_within(torus, radius, cap=ENUM_CAP):
     the torus.  Raises RadiusTooLarge when the search meets more than
     ``cap`` candidate vectors, and ValidationError for a non-finite radius.
     """
-    _check_finite((radius,), "radius")
+    check_finite((radius,), "radius")
     return _lattice_vectors(torus, *_enumerate_sorted(torus, radius, cap=cap))
 
 
@@ -480,7 +476,7 @@ def enumerate_shifted(torus, shift, radius, cap=ENUM_CAP):
     as ``enumerate_within`` and likewise uncached, with its radius check;
     the zero translate is included when shift lies in the lattice.
     """
-    _check_finite((radius,), "radius")
+    check_finite((radius,), "radius")
     off = torus.coords_from_lift(shift)
     coords, lengths = _enumerate_sorted(torus, radius, offset=off, cap=cap)
     return coords, (coords + off) @ torus.basis, lengths
@@ -495,18 +491,18 @@ def _l1(torus):
     return memo["l1"]
 
 
-def shells(torus, tol_shell=TOL_SHELL, cap=ENUM_CAP):
+def shells(torus):
     """Shortest and second-shortest loop lengths plus the first shell.
 
     Returns Shells(l1, l2, S1) where S1 lists every lattice vector of
-    length within l1 * (1 + tol_shell), and l2 is the smallest length
+    length within l1 * (1 + TOL_SHELL), and l2 is the smallest length
     strictly beyond that band.  When the first shell has exactly twice
     as many vectors as its real span's dimension, each member is checked
     to be primitive.
     """
     l1 = _l1(torus)
-    coords, lengths = _enumerate_sorted(torus, 2.0 * l1 * (1.0 + 1e-9), cap=cap)
-    inner = int(np.searchsorted(lengths, l1 * (1.0 + tol_shell), side="right"))
+    coords, lengths = _enumerate_sorted(torus, 2.0 * l1 * (1.0 + 1e-9))
+    inner = int(np.searchsorted(lengths, l1 * (1.0 + TOL_SHELL), side="right"))
     S1 = _lattice_vectors(torus, coords[:inner], lengths[:inner])
     l2 = float(lengths[inner]) if inner < len(lengths) else 2.0 * l1
     if len(S1) == 2 * np.linalg.matrix_rank(coords[:inner].astype(float)):
@@ -565,6 +561,7 @@ def automorphy_factor(torus, chi, k, coords, z):
     of the k-th power satisfy f(z + lambda) = a_k(lambda, z) f(z).  A z of
     shape (P, n) gives P multipliers with one chi phase; others a complex.
     """
+    check_count(k, 1, "k")
     lam = torus.embed(np.asarray(coords, dtype=np.int64))
     z = np.asarray(z, dtype=complex)
     hzl = (z if z.ndim == 2 else z.reshape(1, torus.n)) @ torus.H @ lam.conj()
@@ -583,8 +580,9 @@ def standard_torus(tau, d=1):
     The polarization then has E(lambda_1, lambda_2) = -d, so |Pf(E)| = d.
     """
     tau = complex(tau)
+    check_finite((tau,), "tau")
     if tau.imag <= 0:
-        raise ValueError("tau must have positive imaginary part")
+        raise ValidationError(f"tau must have positive imaginary part, got {tau!r}")
     return PolarizedTorus(n=1, basis=[[1.0], [tau]], H=[[d / tau.imag]])
 
 

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CharacteristicSolveFailed, CutoffTooSmall, SingularGram, ValidationError
+from .errors import CharacteristicSolveFailed, CutoffTooSmall, SingularGram, check_count
 from .lattice import TWO_PI, Semicharacter, _as_point, automorphy_factor, standard_torus
 
 RESIDUAL_TOL = 1e-9
@@ -88,8 +88,11 @@ def build_basis(tau, d, chi, k, cutoff=None):
 
     Raises CharacteristicSolveFailed when the functional equation fails
     (a convention bug, not a data problem) and CutoffTooSmall when the
-    requested series cutoff leaves visible tails.
+    requested series cutoff leaves visible tails; k and d must be
+    integers of at least 1 (ValidationError).
     """
+    check_count(k, 1, "k")
+    check_count(d, 1, "d")
     tau = complex(tau)
     N = k * d
     torus = standard_torus(tau, d)
@@ -194,8 +197,7 @@ def build_gram(basis, quad_res=128):
     inversion run on the diagonally rescaled matrix (the density is
     invariant under rescaling the basis).
     """
-    if isinstance(quad_res, bool) or not isinstance(quad_res, (int, np.integer)) or quad_res < 8:
-        raise ValidationError(f"quad_res must be an integer of at least 8, got {quad_res!r}")
+    check_count(quad_res, 8, "quad_res")
     G = _gram_at(basis, quad_res)
     G_half = _gram_at(basis, quad_res // 2)
     scale = float(np.max(np.abs(G)))

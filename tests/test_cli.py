@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import toruskernel as tk
-from toruskernel.cli import main
+from toruskernel.cli import build_parser, main
 
 
 def write_config(tmp_path, name="sq1.json", **overrides):
@@ -180,27 +180,106 @@ def test_unknown_command_exits():
 
 
 @pytest.mark.parametrize("command,flags", [
-    ("rho", ["--k", "0"]), ("rho", ["--k", "-1"]), ("rho", ["--eps", "0"]),
-    ("rho", ["--eps", "-1"]), ("cylinder", ["--k", "0"]), ("grid", ["--res", "0"]),
+    ("rho", ["--point", "0.25,0.5", "--k", "0"]), ("rho", ["--point", "0.25,0.5", "--k", "-1"]),
+    ("rho", ["--point", "0.25,0.5", "--eps", "0"]), ("rho", ["--point", "0.25,0.5", "--eps", "-1"]),
+    ("cylinder", ["--k", "0"]), ("grid", ["--res", "0"]),
     ("compare", ["--chi2", "0.5,0.0", "--res", "0"]), ("rho", ["--point", "nan,0.1"]),
     ("oracle", ["--res", "0"]), ("cylinder", ["--res", "0"]),
-    ("rigidity", ["--kmin", "5", "--kmax", "2"]), ("rho", ["--radius", "nan"]),
-    ("grid", ["--radius", "inf"]), ("offdiag", ["--point2", "0.5,0.5", "--radius", "nan"]),
+    ("rigidity", ["--kmin", "5", "--kmax", "2"]), ("rho", ["--point", "0.25,0.5", "--radius", "nan"]),
+    ("grid", ["--radius", "inf"]),
+    ("offdiag", ["--point", "0.25,0.5", "--point2", "0.5,0.5", "--radius", "nan"]),
+    ("rho", ["--point", "0.25,0.5", "--k", "abc"]),
 ])
 def test_bad_power_or_eps_exits_1_without_traceback(tmp_path, command, flags):
     """A fresh interpreter, so a hang shows as a timeout and a traceback
     as stderr text; --k 0 used to fall back to the config's k (to 1 for
-    cylinder)."""
+    cylinder).  Each subcommand gets only the flags it declares, so the
+    exit comes from the bad value itself, not from an unknown flag."""
     cfg = write_config(tmp_path)
     src = os.path.dirname(os.path.dirname(tk.__file__))
     env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
-    proc = subprocess.run(
-        [sys.executable, "-m", "toruskernel", command, "--config", cfg, "--point", "0.25,0.5",
-         *flags], capture_output=True, text=True, timeout=60, env=env)
+    config = [] if command == "cylinder" else ["--config", cfg]
+    proc = subprocess.run([sys.executable, "-m", "toruskernel", command, *config, *flags],
+                          capture_output=True, text=True, timeout=60, env=env)
     assert proc.returncode == 1
     assert "ValidationError" in proc.stderr
+    assert "unrecognized arguments" not in proc.stderr
     assert "Traceback" not in proc.stderr
     assert proc.stdout == ""
+
+
+# The flags each subcommand reads; every other flag is a usage error.
+DECLARED = {
+    "validate": {"config", "out"},
+    "rho": {"config", "out", "k", "eps", "radius", "point"},
+    "grid": {"config", "out", "k", "eps", "res", "radius"},
+    "oracle": {"config", "out", "k", "eps", "res"},
+    "compare": {"config", "out", "k", "eps", "res", "chi2"},
+    "cylinder": {"out", "k", "res", "eta", "alpha", "tmin", "tmax"},
+    "extrema": {"config", "out", "k", "res"},
+    "rigidity": {"config", "out", "res", "kmin", "kmax"},
+    "offdiag": {"config", "out", "k", "eps", "radius", "point", "point2"},
+    "hol": {"config", "out", "k", "point", "vector", "steps"},
+}
+# Flags that every subcommand used to accept whether it read them or not.
+FORMER_COMMON = {"config": None, "out": "x.txt", "k": "2", "eps": "1e-8", "res": "16",
+                 "radius": "3.0", "point": "0.25,0.5"}
+DEAD_FLAGS = [(command, flag) for command in DECLARED for flag in FORMER_COMMON
+              if flag not in DECLARED[command]]
+
+
+def test_declared_flags_are_exactly_the_table():
+    sub = next(a for a in build_parser()._actions if a.dest == "command")
+    assert sub.choices.keys() == DECLARED.keys()
+    for command, parser in sub.choices.items():
+        flags = {a.dest for a in parser._actions if a.dest != "help"}
+        assert flags == DECLARED[command], command
+    assert sum(map(len, DECLARED.values())) == 54
+    assert len(DEAD_FLAGS) == 26
+
+
+@pytest.mark.parametrize("command,flag", DEAD_FLAGS)
+def test_unread_flag_is_a_usage_error(tmp_path, capsys, command, flag):
+    """Each flag a subcommand does not read exits 1 as a ValidationError
+    instead of being accepted and ignored (rigidity's --k is ambiguous
+    between --kmin and --kmax, the others unrecognized)."""
+    cfg = write_config(tmp_path)
+    value = cfg if flag == "config" else FORMER_COMMON[flag]
+    config = [] if command == "cylinder" else ["--config", cfg]
+    with pytest.raises(SystemExit) as exc:
+        main([command, *config, f"--{flag}", value])
+    assert exc.value.code == 1
+    captured = capsys.readouterr()
+    assert "ValidationError: unrecognized arguments" in captured.err or (
+        "ValidationError: ambiguous option" in captured.err)
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("argv", [[], ["rho", "--k", "abc"], ["validate", "--bogus", "1"]])
+def test_usage_errors_exit_1(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 1
+    assert "ValidationError: " in capsys.readouterr().err
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["rho", "--help"])
+    assert exc.value.code == 0
+    assert "--point" in capsys.readouterr().out
+
+
+def test_out_into_missing_directory_is_a_validation_error(tmp_path, capsys):
+    """Used to end in a FileNotFoundError traceback."""
+    cfg = write_config(tmp_path)
+    out = tmp_path / "missing" / "x.txt"
+    assert main(["validate", "--config", cfg, "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert "ValidationError" in captured.err
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+    assert not out.parent.exists()
 
 
 def test_scipy_is_not_loaded_at_run_time():

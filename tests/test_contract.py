@@ -1,0 +1,107 @@
+"""The argument contract: every count is an integer (Python or numpy, not a
+bool) of at least its minimum, every real input is finite, and every bad
+input ends in ValidationError, never a TypeError, a ZeroDivisionError or
+a returned value."""
+
+import math
+
+import numpy as np
+import pytest
+
+import toruskernel as tk
+
+SQ1 = tk.standard_torus(1j, 1)
+CHI = tk.Semicharacter((0.3, 0.0))
+P = tk.TorusPoint.from_coords(SQ1, (0.25, 0.5))
+BASIS = tk.build_basis(1j, 1, CHI, 1)
+
+
+def _target(k):
+    return tk.HolonomyTarget(vectors=((1, 0),), targets=(1.0 + 0j,), k=k)
+
+
+# (call, count argument, least value, a valid value, the call with that argument set)
+COUNTS = [
+    ("rho_diag", "k", 1, 2, lambda v: tk.rho_diag(SQ1, CHI, v, P)),
+    ("rho_grid", "resolution", 2, 4, lambda v: tk.rho_grid(SQ1, CHI, 1, v)),
+    ("integral_check", "resolution", 8, 32, lambda v: tk.integral_check(SQ1, CHI, 1, v)),
+    ("find_extrema", "resolution", 16, 16, lambda v: tk.find_extrema(SQ1, CHI, 1, v)),
+    ("compare_bundles", "resolution", 2, 4,
+     lambda v: tk.compare_bundles(SQ1, CHI, CHI, 1, v)),
+    ("build_gram", "quad_res", 8, 16, lambda v: tk.build_gram(BASIS, v)),
+    ("pushforward_fit", "samples", 1, 256,
+     lambda v: tk.pushforward_fit(SQ1, CHI, 1, (1, 0), v)),
+    ("hol_ode", "steps", 1, 200, lambda v: tk.hol_ode(SQ1, CHI, 1, P, (1, 0), steps=v)),
+    ("hol_ode", "k", 1, 2, lambda v: tk.hol_ode(SQ1, CHI, v, P, (1, 0))),
+    ("hol_closed", "k", 1, 2, lambda v: tk.hol_closed(SQ1, CHI, v, P, (1, 0))),
+    ("automorphy_factor", "k", 1, 2,
+     lambda v: tk.automorphy_factor(SQ1, CHI, v, (1, 0), [0.1j])),
+    ("solve_holonomy", "target.k", 1, 2, lambda v: tk.solve_holonomy(SQ1, CHI, _target(v))),
+    ("solve_holonomy", "mesh", 1, 4,
+     lambda v: tk.solve_holonomy(SQ1, CHI, _target(1), mesh=v)),
+    ("build_basis", "k", 1, 2, lambda v: tk.build_basis(1j, 1, CHI, v)),
+    ("build_basis", "d", 1, 2, lambda v: tk.build_basis(1j, v, CHI, 1)),
+    ("CylinderParams", "k", 1, 2, lambda v: tk.CylinderParams(eta=1.0, alpha=0.25, k=v)),
+    ("CylinderParams", "n", 1, 2,
+     lambda v: tk.CylinderParams(eta=1.0, alpha=0.25, k=1, n=v)),
+]
+IDS = [f"{call}-{arg}" for call, arg, *_ in COUNTS]
+
+
+@pytest.mark.parametrize("kind", ["below", "float", "fraction", "bool"])
+@pytest.mark.parametrize("call,arg,least,ok,run", COUNTS, ids=IDS)
+def test_bad_count_is_a_validation_error(call, arg, least, ok, run, kind):
+    value = {"below": least - 1, "float": float(least), "fraction": least + 0.5,
+             "bool": True}[kind]
+    with pytest.raises(tk.ValidationError, match=arg.split(".")[-1]):
+        run(value)
+
+
+@pytest.mark.parametrize("call,arg,least,ok,run", COUNTS, ids=IDS)
+def test_integer_counts_are_accepted(call, arg, least, ok, run):
+    """The least value passes the contract, though the computation may
+    then fail on its own terms (1 step, a 1-point fiber mesh); a valid
+    numpy integer runs through."""
+    try:
+        run(least)
+    except tk.NumericError:
+        pass
+    run(np.int64(ok))
+
+
+def test_float_step_count_is_a_validation_error():
+    """steps=2000.0 used to end in a TypeError from range."""
+    for steps in (2000.0, 2000.5):
+        with pytest.raises(tk.ValidationError):
+            tk.hol_ode(SQ1, CHI, 1, P, (1, 0), steps=steps)
+    with pytest.raises(tk.StepCountTooSmall):
+        tk.hol_ode(SQ1, CHI, 1, P, (1, 0), steps=99)
+
+
+@pytest.mark.parametrize("field", ["eta", "alpha", "t"])
+def test_cylinder_rejects_nan(field):
+    kwargs = dict(eta=1.0, alpha=0.25, k=1, t=0.0)
+    kwargs[field] = math.nan
+    with pytest.raises(tk.ValidationError):
+        tk.CylinderParams(**kwargs)
+
+
+@pytest.mark.parametrize("tau", [complex(math.nan, 1.0), complex(0.3, math.nan),
+                                 complex(math.inf, 1.0), 1.0 + 0j, 0.3 - 1j])
+def test_standard_torus_rejects_bad_tau(tau):
+    with pytest.raises(tk.ValidationError):
+        tk.standard_torus(tau, 1)
+
+
+def test_wrong_length_points_and_vectors():
+    """Used to end in numpy's reshape ValueError or a bare ValueError."""
+    with pytest.raises(tk.ValidationError):
+        tk.rho_diag(SQ1, CHI, 1, [0.1, 0.2, 0.3])
+    with pytest.raises(tk.ValidationError):
+        tk.TorusPoint.from_coords(SQ1, (0.1, 0.2, 0.3))
+    with pytest.raises(tk.ValidationError):
+        tk.TorusPoint.from_lift(SQ1, [0.1, 0.2])
+    with pytest.raises(tk.ValidationError):
+        tk.hol_closed(SQ1, CHI, 1, P, (1, 0, 0))
+    with pytest.raises(tk.ValidationError):
+        tk.LatticeVector.from_coords(SQ1, (1,))

@@ -91,7 +91,7 @@ def test_solve_holonomy_inconsistent(sq1, chi0):
 
 
 def test_solve_holonomy_rejects_off_circle(sq1, chi0):
-    with pytest.raises(ValueError):
+    with pytest.raises(tk.ValidationError):
         tk.solve_holonomy(sq1, chi0, tk.HolonomyTarget(
             vectors=((1, 0),), targets=(2.0 + 0j,), k=1))
 
@@ -339,7 +339,7 @@ def test_pushforward_matches_holonomy(rng, sq1):
 
 def test_pushforward_guards(sq1):
     chi = tk.Semicharacter((0.3, 0.0))
-    with pytest.raises(ValueError):
+    with pytest.raises(tk.ValidationError):
         tk.pushforward_fit(sq1, chi, 1, (0, 0))
     # a 3-point fiber mesh cannot cancel the transverse loops
     with pytest.raises(tk.FitResidualTooLarge):

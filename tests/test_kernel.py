@@ -24,7 +24,7 @@ def test_tail_bound_monotone(sq1, d2):
 
 
 def test_tail_bound_needs_min_radius(sq1):
-    with pytest.raises(ValueError):
+    with pytest.raises(tk.ValidationError):
         tk.tail_bound(sq1, 0.1, 1)
 
 
