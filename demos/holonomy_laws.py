@@ -45,7 +45,7 @@ def main():
     print()
     print("displacement law: moving the base point twists the holonomy")
     print("by exp(2 pi i k s E(v, w)), linear in the displacement w")
-    s = tk.calibration_sign()
+    s = tk.lattice.HOL_SIGN
     sq1 = tk.standard_torus(1j, 1)
     v = np.array([0, 1])
     a = tk.hol_closed(sq1, chi, 1, tk.TorusPoint.zero(sq1), v).value
@@ -56,10 +56,10 @@ def main():
         print(f"  w = ({frac:4.2f}, 0): residual {abs(b - a * twist):.3e}")
 
     print()
-    print("the calibration report records which exponent sign matches transport:")
+    print("the on-demand check: which exponent sign matches transport")
     rep = tk.calibration_report()
     print(f"  sign +1 mismatch {rep.mismatch_plus:.2e}, sign -1 mismatch "
-          f"{rep.mismatch_minus:.2e}, chosen sign {rep.sign:+d}")
+          f"{rep.mismatch_minus:.2e}, transport picks {rep.sign:+d}, HOL_SIGN = {s:+d}")
 
 
 if __name__ == "__main__":

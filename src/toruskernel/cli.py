@@ -3,12 +3,12 @@
 Subcommands: validate, rho, grid, oracle, compare, cylinder, extrema,
 rigidity, offdiag, hol.  Bundle data comes from a JSON config
 (--config); numeric knobs are flags, and each subcommand accepts only
-the flags it reads (``_COMMANDS``).  Output goes to stdout or --out.
-All floats print with 17 significant digits and CSV layouts are fixed,
-so reruns on the same inputs are byte-identical.  Exit codes: 0 on
-success; 1 on a ValidationError, usage errors included (an unknown
-flag, a malformed value, a missing subcommand) and an unwritable --out;
-2 on a NumericError.  ``--help`` exits 0.
+the flags it reads (``_COMMANDS``), unabbreviated.  Output goes to
+stdout or --out.  All floats print with 17 significant digits and CSV
+layouts are fixed, so reruns on the same inputs are byte-identical.
+Exit codes: 0 on success; 1 on a ValidationError, usage errors included
+(an unknown or abbreviated flag, a malformed value, no subcommand) and
+an unwritable --out; 2 on a NumericError.  ``--help`` exits 0.
 """
 
 from __future__ import annotations
@@ -279,10 +279,11 @@ class _Parser(argparse.ArgumentParser):
 
 
 def build_parser():
-    parser = _Parser(prog="toruskernel", description="Bergman densities on polarized tori")
+    parser = _Parser(prog="toruskernel", description="Bergman densities on polarized tori",
+                     allow_abbrev=False)
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (_, flags) in _COMMANDS.items():
-        p = sub.add_parser(name)
+        p = sub.add_parser(name, allow_abbrev=False)
         for flag in flags:
             p.add_argument(f"--{flag}", **_FLAGS[flag])
     return parser

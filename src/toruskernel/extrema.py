@@ -34,10 +34,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FitResidualTooLarge, InconsistentSystem, ValidationError, check_count
-from .holonomy import calibration_sign
 from .intlin import extended_gcd_row, smith_normal_form
 from .kernel import DEFAULT_EPS, _grid_values, _prepare
 from .lattice import (
+    HOL_SIGN,
     TWO_PI,
     TorusPoint,
     _as_vector,
@@ -85,9 +85,11 @@ def solve_holonomy(torus, chi, target, mesh=8):
     check_count(mesh, 1, "mesh")
     vecs = [_as_vector(torus, v) for v in target.vectors]
     m = len(vecs)
+    if len(target.targets) != m:
+        raise ValidationError(f"{m} vectors need {m} holonomy targets, got {len(target.targets)}")
     two_n = 2 * torus.n
     C = np.array([v.coords for v in vecs], dtype=object).reshape(m, two_n)
-    M = (k * calibration_sign()) * (C @ np.array(torus.E, dtype=object))
+    M = (k * HOL_SIGN) * (C @ np.array(torus.E, dtype=object))
     b = np.empty(m)
     for j, (v, t) in enumerate(zip(vecs, target.targets)):
         t = complex(t)
@@ -253,27 +255,26 @@ class PushforwardFit:
     residual: float
 
 
-def pushforward_fit(torus, chi, k, v1, samples=256, eps=1e-12):
+def pushforward_fit(torus, chi, k, v1, eps=1e-12):
     """Recover the holonomy phase of the v1-loop from the density alone.
 
     The quotient circle is parameterized through a generator u with
     E(v1, u) = g = content of the integer row (E(v1, lambda_j))_j.  Over
-    the fiber mesh W c / samples, c in (Z/samples)^(2n-1), W an integer
-    kernel basis of that row, loop v averages to 0 unless A_v W = 0 mod
-    samples, so the profile is the exact sum of w_v cos(2*pi*(t A_v u -
-    chi_v)) over the surviving loops, at T = max(64, 8|k*s*g|) points, so
-    the harmonics m*k*s*g, m <= FIT_HARMONICS, are exact bins of its real
-    FFT.  The fit is those bins: the fundamental gives the phase, the
-    measured spectral peak is reported alongside, and a residual above
-    1e-6 of the fundamental amplitude raises FitResidualTooLarge.
+    the fiber, the subtorus spanned by W, an integer kernel basis of that
+    row, loop v integrates to 0 unless A_v W = 0, so the profile is the
+    exact sum of w_v cos(2*pi*(t A_v u - chi_v)) over those loops, at
+    T = max(64, 8|k*s*g|) points, so the harmonics m*k*s*g, m <=
+    FIT_HARMONICS, are exact bins of its real FFT.  The fit is those
+    bins: the fundamental gives the phase, the measured spectral peak is
+    reported alongside, and a residual above 1e-6 of the fundamental
+    amplitude raises FitResidualTooLarge.
     """
-    check_count(samples, 1, "samples")
     v1 = _as_vector(torus, v1)
     row = np.array(v1.coords, dtype=object) @ np.array(torus.E, dtype=object)
     if all(int(x) == 0 for x in row):
         raise ValidationError("v1 pairs trivially with the lattice; no circle map")
     g, c_u, kernel = extended_gcd_row(row)
-    lam_signed = k * calibration_sign() * g
+    lam_signed = k * HOL_SIGN * g
 
     W = np.array(kernel, dtype=np.int64)                    # (2n, 2n-1)
     fiber_gram = W.T @ torus.gram @ W
@@ -283,7 +284,7 @@ def pushforward_fit(torus, chi, k, v1, samples=256, eps=1e-12):
     T = max(64, 8 * lam)
     prep = _prepare(torus, chi, k, eps=eps)
 
-    keep = np.all(np.mod(prep.A @ W, samples) == 0, axis=1)
+    keep = np.all(prep.A @ W == 0, axis=1)
     freqs = prep.A[keep] @ np.array(c_u, dtype=np.int64)
     turns = np.mod(np.outer(np.arange(T), freqs), T) / T - prep.chi_turns[keep]
     profile = nu * (np.cos(TWO_PI * turns) @ prep.weights[keep])
@@ -309,9 +310,9 @@ def pushforward_fit(torus, chi, k, v1, samples=256, eps=1e-12):
                           amplitude=amplitude, fiber_volume=nu, residual=resid / amplitude)
 
 
-def pushforward_recover(torus, chi, k, v1, samples=256):
+def pushforward_recover(torus, chi, k, v1):
     """Recovered holonomy phase k*alpha_{v1} (mod 1) at the zero basepoint."""
-    return pushforward_fit(torus, chi, k, v1, samples=samples).phase
+    return pushforward_fit(torus, chi, k, v1).phase
 
 
 @dataclass(frozen=True, eq=False)
@@ -323,7 +324,7 @@ class BundleComparison:
     recovered: tuple | None
 
 
-def compare_bundles(torus, chi_a, chi_b, k, resolution=32, eps=DEFAULT_EPS, samples=256):
+def compare_bundles(torus, chi_a, chi_b, k, resolution=32, eps=DEFAULT_EPS):
     """Decide whether two bundles have the same k-th power density.
 
     A grid maximum of |rho_a - rho_b| above the certified series error
@@ -347,14 +348,11 @@ def compare_bundles(torus, chi_a, chi_b, k, resolution=32, eps=DEFAULT_EPS, samp
         return BundleComparison(verdict="distinct", max_diff=max_diff, threshold=threshold,
                                 witness=witness, recovered=None)
 
-    two_n = 2 * torus.n
     recovered = []
     agree = True
-    for i in range(two_n):
-        e = np.zeros(two_n, dtype=int)
-        e[i] = 1
-        pa = pushforward_recover(torus, chi_a, k, e, samples=samples)
-        pb = pushforward_recover(torus, chi_b, k, e, samples=samples)
+    for e in np.eye(2 * torus.n, dtype=int):
+        pa = pushforward_recover(torus, chi_a, k, e)
+        pb = pushforward_recover(torus, chi_b, k, e)
         recovered.append((pa, pb))
         if abs((pa - pb + 0.5) % 1.0 - 0.5) > 1e-6:
             agree = False

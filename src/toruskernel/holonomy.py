@@ -7,9 +7,9 @@ closed form
 
     Hol_k(p, v) = chi(v)^(-k) * exp(2*pi*i * k * s * E(v, p~)),
 
-where s is a global sign fixed once by comparing against direct
-integration of the transport ODE on a reference instance.  ``hol_ode``
-is that independent path: it integrates the frame coefficient
+where s = ``lattice.HOL_SIGN``; ``calibration_report`` checks it on demand
+against the transport ODE on a reference instance.  ``hol_ode`` is that
+independent path: it integrates the frame coefficient
 
     u'(t) = u(t) * k*pi*H(v, p~ + t*v),  u(0) = 1,
 
@@ -20,14 +20,15 @@ on the whole convention stack (metric weight, automorphy, H ordering).
 
 from __future__ import annotations
 
+import cmath
 import math
-import threading
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ModulusMismatch, StepCountTooSmall, check_count, check_count
+from .errors import ModulusMismatch, StepCountTooSmall, check_count
 from .lattice import (
+    HOL_SIGN,
     LatticeVector,
     Semicharacter,
     TorusPoint,
@@ -60,19 +61,9 @@ class CalibrationReport:
     mismatch_minus: float
 
 
-_CAL_LOCK = threading.Lock()
-_CALIBRATION: CalibrationReport | None = None
-
-
 def _loop_pairing(torus, v, p):
     """E(v, p~) = Im H(v, p~) for a lattice vector and a point lift."""
     return torus.hermitian_pair(v.embedding, p.lift).imag
-
-
-def _hol_closed_signed(torus, chi, k, p, v, sign):
-    turns = k * (sign * _loop_pairing(torus, v, p) - chi_phase_turns(chi, torus, v.coords))
-    value = complex(np.exp(2j * math.pi * turns))
-    return HolonomyResult(value=value, alpha=float(turns % 1.0), method="closed_form")
 
 
 def hol_ode(torus, chi, k, p, v, steps=None):
@@ -122,31 +113,25 @@ def hol_ode(torus, chi, k, p, v, steps=None):
     return HolonomyResult(value=complex(hol), alpha=alpha, method="ode")
 
 
-def _compute_calibration() -> CalibrationReport:
+def calibration_report() -> CalibrationReport:
+    """The exponent sign that matches transport, found anew on each call.
+
+    On the square torus with trivial chi, the (0, 1)-loop at p~ = 1/4 has
+    closed form exp(2*pi*i*s*E(v, p~)), so the -1 candidate is the
+    conjugate of the +1 one; the one nearer RK4 names the sign, which
+    must be ``HOL_SIGN``.  A margin below 0.5 raises ModulusMismatch."""
     torus = standard_torus(1j, 1)
-    chi = Semicharacter.trivial(1)
     p = TorusPoint.from_lift(torus, [0.25])
     v = LatticeVector.from_coords(torus, [0, 1])
-    ref = hol_ode(torus, chi, 1, p, v, steps=DEFAULT_ODE_STEPS).value
-    cands = {s: _hol_closed_signed(torus, chi, 1, p, v, s).value for s in (+1, -1)}
-    mplus = abs(cands[+1] - ref)
-    mminus = abs(cands[-1] - ref)
-    sign = +1 if mplus <= mminus else -1
+    ref = hol_ode(torus, Semicharacter.trivial(1), 1, p, v, steps=DEFAULT_ODE_STEPS).value
+    plus = cmath.exp(2j * math.pi * _loop_pairing(torus, v, p))
+    mplus, mminus = abs(plus - ref), abs(plus.conjugate() - ref)
     if abs(mplus - mminus) < 0.5:
         raise ModulusMismatch(
             "sign calibration is ambiguous; transport and closed form disagree structurally"
         )
-    return CalibrationReport(sign=sign, mismatch_plus=mplus, mismatch_minus=mminus)
-
-
-def calibration_report() -> CalibrationReport:
-    """Sign calibration against the transport ODE, computed once and cached."""
-    global _CALIBRATION
-    if _CALIBRATION is None:
-        with _CAL_LOCK:
-            if _CALIBRATION is None:
-                _CALIBRATION = _compute_calibration()
-    return _CALIBRATION
+    return CalibrationReport(sign=1 if mplus <= mminus else -1,
+                             mismatch_plus=mplus, mismatch_minus=mminus)
 
 
 def calibration_sign() -> int:
@@ -158,7 +143,9 @@ def hol_closed(torus, chi, k, p, v):
     check_count(k, 1, "k")
     p = _as_point(torus, p)
     v = _as_vector(torus, v)
-    return _hol_closed_signed(torus, chi, k, p, v, calibration_sign())
+    turns = k * (HOL_SIGN * _loop_pairing(torus, v, p) - chi_phase_turns(chi, torus, v.coords))
+    value = complex(np.exp(2j * math.pi * turns))
+    return HolonomyResult(value=value, alpha=float(turns % 1.0), method="closed_form")
 
 
 def alpha_series_coeff(torus, chi, k, p, v):

@@ -25,9 +25,9 @@ w_v exp(-2*pi*i*chi_v) into bin A_v mod r plus one inverse FFT, with the
 phases A_v . j reduced in integers: O(terms + r^(2n) log r), exact at any k.
 
 The truncation-radius policy (grow-then-bisect to the minimal R with
-tail_bound(R, k) <= eps) and the enumeration cap are choices of this
-module; RadiusTooLarge reports an estimate of the cap a caller would
-need.
+tail_bound(R, k) <= eps) is a choice of this module.  Every sum is
+enumerated under ``lattice.ENUM_CAP``; past it, RadiusTooLarge reports
+an estimate of the cap the radius would need.
 """
 
 from __future__ import annotations
@@ -40,9 +40,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericError, QuadratureUnconverged, ValidationError, check_count
-from .holonomy import calibration_sign
 from .lattice import (
-    ENUM_CAP,
+    HOL_SIGN,
     TWO_PI,
     _as_point,
     _check_integral,
@@ -147,16 +146,15 @@ class _PreparedSum:
     """Enumerated loop data bound to (torus, chi, k, R), vectorized over
     evaluation points in lattice coordinates."""
 
-    def __init__(self, torus, chi, k, radius, cap=ENUM_CAP):
+    def __init__(self, torus, chi, k, radius):
         self.torus = torus
-        self.k = k
         self.radius = radius
         self.scale = (k / TWO_PI) ** torus.n
-        C, lengths = _enumerate_sorted(torus, radius, cap=cap)
+        C, lengths = _enumerate_sorted(torus, radius)
         self.terms = len(lengths)
         self.weights = np.exp(-0.25 * k * lengths ** 2)
         # turn(x) = k*s*E(v, x) - k*chi_turns(v);  E(v, sum x_i lambda_i) = (C E) x
-        self.A = (k * calibration_sign()) * (C @ torus.E)
+        self.A = (k * HOL_SIGN) * (C @ torus.E)
         self._Af = self.A.astype(float)
         self.chi_turns = k * chi_phase_turns(chi, torus, C)
         self.tail = tail_bound(torus, radius, k)
@@ -191,19 +189,19 @@ def _series_radius(torus, k, eps, radius):
     return max(radius, _l1(torus))
 
 
-def _prepare(torus, chi, k, eps=DEFAULT_EPS, radius=None, cap=ENUM_CAP):
+def _prepare(torus, chi, k, eps=DEFAULT_EPS, radius=None):
     _check_power(k, eps)
     _check_integral(torus)
-    return _PreparedSum(torus, chi, k, _series_radius(torus, k, eps, radius), cap=cap)
+    return _PreparedSum(torus, chi, k, _series_radius(torus, k, eps, radius))
 
 
-def rho_diag(torus, chi, k, p, eps=DEFAULT_EPS, radius=None, cap=ENUM_CAP):
+def rho_diag(torus, chi, k, p, eps=DEFAULT_EPS, radius=None):
     """Density of the k-th power at a torus point, with certified tail.
 
     The truncation radius is the minimal one whose packing tail bound
     is below eps, unless ``radius`` overrides it.
     """
-    prep = _prepare(torus, chi, k, eps=eps, radius=radius, cap=cap)
+    prep = _prepare(torus, chi, k, eps=eps, radius=radius)
     p = _as_point(torus, p)
     value = prep.density(np.asarray(p.coords))
     return SeriesResult(value=float(value), radius=prep.radius, tail=prep.tail, terms=prep.terms)
@@ -214,6 +212,14 @@ def rho_gradient(torus, chi, k, p, eps=DEFAULT_EPS, radius=None):
     prep = _prepare(torus, chi, k, eps=eps, radius=radius)
     p = _as_point(torus, p)
     return prep.gradient(np.asarray(p.coords))
+
+
+def _grid_mean(prep, resolution):
+    """Mean of ``_grid_values(prep, resolution)``, the zero bin alone: over
+    j/r a loop averages to 0 unless A_v = 0 mod r."""
+    zero = np.all(np.mod(prep.A, resolution) == 0, axis=1)
+    turns = np.mod(prep.chi_turns[zero], 1.0)
+    return prep.scale * (1.0 + float(np.cos(TWO_PI * turns) @ prep.weights[zero]))
 
 
 def _grid_values(prep, resolution):
@@ -257,11 +263,11 @@ class GridField:
             writer.writerow(row + [f"{self.values[idx]:.17g}", f"{hw:.17g}"])
 
 
-def rho_grid(torus, chi, k, resolution, eps=DEFAULT_EPS, radius=None, cap=ENUM_CAP):
+def rho_grid(torus, chi, k, resolution, eps=DEFAULT_EPS, radius=None):
     """Density on the full coordinate grid; one enumeration serves every
     point."""
     check_count(resolution, 2, "resolution")
-    prep = _prepare(torus, chi, k, eps=eps, radius=radius, cap=cap)
+    prep = _prepare(torus, chi, k, eps=eps, radius=radius)
     values = _grid_values(prep, resolution)
     values.setflags(write=False)
     return GridField(values=values, resolution=resolution, n=torus.n, k=k,
@@ -273,13 +279,13 @@ def integral_check(torus, chi, k, resolution=128, eps=1e-12):
 
     Returns (integral, expected) with expected = k^n * |Pf(E)|.  The
     grid mean is compared against the half-resolution mean; a change
-    above 1e-3 * expected raises QuadratureUnconverged.
+    above 1e-3 * expected raises QuadratureUnconverged.  No grid is built.
     """
     check_count(resolution, 8, "resolution")
     expected = float(k ** torus.n * torus.pfaffian_abs())
     prep = _prepare(torus, chi, k, eps=eps)
-    coarse = float(np.mean(_grid_values(prep, resolution // 2)))
-    fine = float(np.mean(_grid_values(prep, resolution)))
+    coarse = _grid_mean(prep, resolution // 2)
+    fine = _grid_mean(prep, resolution)
     vol = torus.volume()
     if abs(fine - coarse) * vol > 1e-3 * expected:
         raise QuadratureUnconverged(
@@ -288,7 +294,7 @@ def integral_check(torus, chi, k, resolution=128, eps=1e-12):
     return fine * vol, expected
 
 
-def offdiag_bound(torus, k, x, y, eps=DEFAULT_EPS, radius=None, cap=ENUM_CAP):
+def offdiag_bound(torus, k, x, y, eps=DEFAULT_EPS, radius=None):
     """Gaussian-decay bound on the normalized off-diagonal kernel.
 
     |K_k(x, y)| * exp(-k(phi(x~)+phi(y~))/2) is bounded by
@@ -301,7 +307,7 @@ def offdiag_bound(torus, k, x, y, eps=DEFAULT_EPS, radius=None, cap=ENUM_CAP):
     y = _as_point(torus, y)
     R = _series_radius(torus, k, eps, radius)
     delta = np.asarray(y.lift) - np.asarray(x.lift)
-    _, lengths = _enumerate_sorted(torus, R, offset=torus.coords_from_lift(delta), cap=cap)
+    _, lengths = _enumerate_sorted(torus, R, offset=torus.coords_from_lift(delta))
     scale = (k / TWO_PI) ** torus.n
     value = scale * float(np.sum(np.exp(-0.25 * k * lengths ** 2)))
     return SeriesResult(value=value, radius=R, tail=tail_bound(torus, R, k),

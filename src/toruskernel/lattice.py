@@ -55,6 +55,10 @@ TOL_SHELL = 1e-9
 #: default cap on the number of enumerated lattice vectors
 ENUM_CAP = 500_000
 
+#: sign s of the holonomy exponent, Hol_k(p, v) = chi(v)^(-k) exp(2*pi*i*k*s*E(v, p~));
+#: ``holonomy.calibration_report`` checks it against the transport ODE
+HOL_SIGN = 1
+
 # Pure per-torus values (shortest length, truncation radii), computed on
 # first use.  Tori hash by identity and never change after construction,
 # so an entry is valid for exactly as long as its torus lives, and the
@@ -192,9 +196,13 @@ class LatticeVector:
 
     @classmethod
     def from_coords(cls, torus, coords):
-        c = np.asarray(coords, dtype=np.int64)
-        if c.shape != (2 * torus.n,):
-            raise ValidationError(f"coords must have length {2 * torus.n}, got shape {c.shape}")
+        """Integer coordinates only: 0.5 or NaN raise, never truncate."""
+        x = np.asarray(coords)
+        if x.shape != (2 * torus.n,):
+            raise ValidationError(f"coords must have length {2 * torus.n}, got shape {x.shape}")
+        if not all(float(t).is_integer() for t in x):
+            raise ValidationError(f"lattice coordinates must be integers, got {coords!r}")
+        c = x.astype(np.int64)
         emb = torus.embed(c)
         emb.setflags(write=False)
         q = float(c @ torus.gram @ c)

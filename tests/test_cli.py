@@ -241,8 +241,7 @@ def test_declared_flags_are_exactly_the_table():
 @pytest.mark.parametrize("command,flag", DEAD_FLAGS)
 def test_unread_flag_is_a_usage_error(tmp_path, capsys, command, flag):
     """Each flag a subcommand does not read exits 1 as a ValidationError
-    instead of being accepted and ignored (rigidity's --k is ambiguous
-    between --kmin and --kmax, the others unrecognized)."""
+    instead of being accepted and ignored."""
     cfg = write_config(tmp_path)
     value = cfg if flag == "config" else FORMER_COMMON[flag]
     config = [] if command == "cylinder" else ["--config", cfg]
@@ -250,8 +249,21 @@ def test_unread_flag_is_a_usage_error(tmp_path, capsys, command, flag):
         main([command, *config, f"--{flag}", value])
     assert exc.value.code == 1
     captured = capsys.readouterr()
-    assert "ValidationError: unrecognized arguments" in captured.err or (
-        "ValidationError: ambiguous option" in captured.err)
+    assert "ValidationError: unrecognized arguments" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("argv", [["cylinder", "--e", "0.5", "--res", "2"],
+                                  ["cylinder", "--eta", "0.5", "--re", "2"],
+                                  ["rigidity", "--config", "x.json", "--kma", "3"],
+                                  ["--he", "validate"], ["rho", "--he"]])
+def test_abbreviated_flag_is_a_usage_error(argv, capsys):
+    """No parser expands a prefix: `cylinder --e 0.5` used to run as --eta."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 1
+    captured = capsys.readouterr()
+    assert "ValidationError: unrecognized arguments" in captured.err
     assert captured.out == ""
 
 

@@ -3,6 +3,7 @@ bool) of at least its minimum, every real input is finite, and every bad
 input ends in ValidationError, never a TypeError, a ZeroDivisionError or
 a returned value."""
 
+import inspect
 import math
 
 import numpy as np
@@ -29,8 +30,6 @@ COUNTS = [
     ("compare_bundles", "resolution", 2, 4,
      lambda v: tk.compare_bundles(SQ1, CHI, CHI, 1, v)),
     ("build_gram", "quad_res", 8, 16, lambda v: tk.build_gram(BASIS, v)),
-    ("pushforward_fit", "samples", 1, 256,
-     lambda v: tk.pushforward_fit(SQ1, CHI, 1, (1, 0), v)),
     ("hol_ode", "steps", 1, 200, lambda v: tk.hol_ode(SQ1, CHI, 1, P, (1, 0), steps=v)),
     ("hol_ode", "k", 1, 2, lambda v: tk.hol_ode(SQ1, CHI, v, P, (1, 0))),
     ("hol_closed", "k", 1, 2, lambda v: tk.hol_closed(SQ1, CHI, v, P, (1, 0))),
@@ -60,8 +59,8 @@ def test_bad_count_is_a_validation_error(call, arg, least, ok, run, kind):
 @pytest.mark.parametrize("call,arg,least,ok,run", COUNTS, ids=IDS)
 def test_integer_counts_are_accepted(call, arg, least, ok, run):
     """The least value passes the contract, though the computation may
-    then fail on its own terms (1 step, a 1-point fiber mesh); a valid
-    numpy integer runs through."""
+    then fail on its own terms (1 step); a valid numpy integer runs
+    through."""
     try:
         run(least)
     except tk.NumericError:
@@ -105,3 +104,38 @@ def test_wrong_length_points_and_vectors():
         tk.hol_closed(SQ1, CHI, 1, P, (1, 0, 0))
     with pytest.raises(tk.ValidationError):
         tk.LatticeVector.from_coords(SQ1, (1,))
+
+
+# (call, the loop-vector argument set to v)
+LOOP_VECTOR_CALLS = [
+    ("hol_closed", lambda v: tk.hol_closed(SQ1, CHI, 1, P, v)),
+    ("hol_ode", lambda v: tk.hol_ode(SQ1, CHI, 1, P, v)),
+    ("solve_holonomy", lambda v: tk.solve_holonomy(SQ1, CHI, tk.HolonomyTarget(
+        vectors=((1, 0), v), targets=(1.0 + 0j, 1.0 + 0j), k=1))),
+    ("pushforward_fit", lambda v: tk.pushforward_fit(SQ1, CHI, 1, v)),
+]
+
+
+@pytest.mark.parametrize("call,run", LOOP_VECTOR_CALLS, ids=[c for c, _ in LOOP_VECTOR_CALLS])
+def test_non_integral_loop_vector_is_a_validation_error(call, run):
+    """(0.5, 1.7) used to be truncated to (0, 1) and answered for that
+    loop; an integral float such as 1.0 is still a loop coordinate."""
+    for v in ((0.5, 1.7), (math.nan, 1), (math.inf, 0), (1, 1e-9)):
+        with pytest.raises(tk.ValidationError, match="integers"):
+            run(v)
+    run((0.0, 1.0))
+    run(np.array([0, 1], dtype=np.int32))
+
+
+# (call, keyword arguments that no caller set and that are now gone)
+REMOVED_KEYWORDS = [
+    (tk.rho_diag, "cap"), (tk.rho_grid, "cap"), (tk.offdiag_bound, "cap"),
+    (tk.pushforward_fit, "samples"), (tk.pushforward_recover, "samples"),
+    (tk.compare_bundles, "samples"),
+]
+
+
+@pytest.mark.parametrize("call,name", REMOVED_KEYWORDS,
+                         ids=[f"{c.__name__}-{n}" for c, n in REMOVED_KEYWORDS])
+def test_removed_keywords_are_gone(call, name):
+    assert name not in inspect.signature(call).parameters

@@ -90,6 +90,16 @@ def test_solve_holonomy_inconsistent(sq1, chi0):
             vectors=((1, 0), (2, 0)), targets=(1.0 + 0j, -1.0 + 0j), k=1))
 
 
+@pytest.mark.parametrize("vectors,targets", [(((1, 0), (0, 1)), (1.0 + 0j,)),
+                                             (((1, 0),), (1.0 + 0j, -1.0 + 0j))])
+def test_solve_holonomy_rejects_count_mismatch(sq1, chi0, vectors, targets):
+    """2 vectors and 1 target used to pin the second constraint to
+    whatever np.empty held and return the point (0.0, 0.7)."""
+    with pytest.raises(tk.ValidationError, match="targets"):
+        tk.solve_holonomy(sq1, tk.Semicharacter((0.3, 0.0)), tk.HolonomyTarget(
+            vectors=vectors, targets=targets, k=1))
+
+
 def test_solve_holonomy_rejects_off_circle(sq1, chi0):
     with pytest.raises(tk.ValidationError):
         tk.solve_holonomy(sq1, chi0, tk.HolonomyTarget(
@@ -111,7 +121,7 @@ def _reference_solve_holonomy(torus, chi, target, mesh=8):
         return tk.HolonomySolutions(points=tuple(reps), underdetermined=True,
                                     free_directions=free)
     C = np.array([v.coords for v in vecs], dtype=object)
-    M = (k * tk.calibration_sign()) * (C @ np.array(torus.E, dtype=object))
+    M = (k * tk.lattice.HOL_SIGN) * (C @ np.array(torus.E, dtype=object))
     b = np.empty(m)
     for j, (v, t) in enumerate(zip(vecs, target.targets)):
         t = complex(t)
@@ -341,11 +351,29 @@ def test_pushforward_guards(sq1):
     chi = tk.Semicharacter((0.3, 0.0))
     with pytest.raises(tk.ValidationError):
         tk.pushforward_fit(sq1, chi, 1, (0, 0))
-    # a 3-point fiber mesh cannot cancel the transverse loops
+    # at k = 500 the fundamental weight exp(-250*pi) underflows to 0
     with pytest.raises(tk.FitResidualTooLarge):
-        tk.pushforward_fit(sq1, chi, 1, (1, 0), samples=3)
-    with pytest.raises(tk.ValidationError):
-        tk.pushforward_fit(sq1, chi, 1, (1, 0), samples=0)
+        tk.pushforward_fit(sq1, chi, 500, (1, 0))
+
+
+def test_pushforward_at_k256_keeps_only_the_fiber_integral(sq1):
+    """At k = 256 every transverse loop has A_v W = 0 mod 256, so a
+    256-point fiber mesh kept them all and the fit failed; the exact
+    fiber integral keeps only A_v W = 0."""
+    chi = tk.Semicharacter((0.3, 0.1))
+    fit = tk.pushforward_fit(sq1, chi, 256, (1, 0))
+    hol = tk.hol_closed(sq1, chi, 256, tk.TorusPoint.zero(sq1), (1, 0))
+    assert fit.frequency == fit.measured_frequency == 256
+    assert circ(fit.phase, hol.alpha) < 1e-9
+
+
+def test_compare_isomorphic_power_at_k256(sq1):
+    """A shift of the first phase by 1/256 vanishes in the 256-th power."""
+    cmp = tk.compare_bundles(sq1, tk.Semicharacter((0.3, 0.1)),
+                             tk.Semicharacter((0.3 + 1 / 256, 0.1)), 256)
+    assert cmp.verdict == "isomorphic_power"
+    for pa, pb in cmp.recovered:
+        assert circ(pa, pb) < 1e-9
 
 
 def _product_surface():
@@ -354,8 +382,8 @@ def _product_surface():
 
 @pytest.mark.parametrize("k", [1, 2])
 def test_pushforward_recovers_basis_holonomies_on_a_surface(k):
-    """At n = 2 the fiber mesh has samples^3 points; the profile keeps
-    only the loops it cannot cancel, so the default 256 stays cheap."""
+    """At n = 2 the fiber is a 3-torus; the profile keeps only the loops
+    whose fiber integral is not 0."""
     phases = (0.11, 0.52, 0.73, 0.29)
     torus, chi = _product_surface(), tk.Semicharacter(phases)
     for i, phase in enumerate(phases):

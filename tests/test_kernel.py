@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import toruskernel as tk
-from toruskernel.kernel import _prepare
+from toruskernel.kernel import _grid_mean, _grid_values, _prepare
 
 from conftest import brute_rho, random_chi, random_torus
 
@@ -257,6 +257,61 @@ def test_integral_check_flags_coarse_grid(sq1, chi0):
         tk.integral_check(sq1, chi0, 4, resolution=8)
     with pytest.raises(tk.ValidationError):
         tk.integral_check(sq1, chi0, 1, resolution=4)
+
+
+_MEAN_INPUTS = ([(name, k, res) for name in ("sq1", "d2", "tau1", "tau2") for k in (1, 3, 8)
+                 for res in (4, 5, 8, 16, 33, 64, 128)]
+                + [(name, k, res) for name in ("product", "generic") for k in (1, 2)
+                   for res in (4, 5, 8, 16, 32)])
+
+
+@pytest.mark.parametrize("name,k,res", _MEAN_INPUTS,
+                         ids=[f"{name}-k{k}-r{res}" for name, k, res in _MEAN_INPUTS])
+def test_grid_mean_is_the_zero_bin(name, k, res):
+    """integral_check reads the mean off the spectrum's zero bin; the
+    mean of the full grid stays the reference."""
+    if name in _N1:
+        torus, chi = tk.standard_torus(*_N1[name]), tk.Semicharacter((0.37, 0.81))
+    else:
+        torus, chi = _surface(name), tk.Semicharacter((0.11, 0.52, 0.73, 0.29))
+    prep = _prepare(torus, chi, k)
+    ref = float(np.mean(_grid_values(prep, res)))
+    assert abs(_grid_mean(prep, res) - ref) <= 1e-15 * prep.scale
+
+
+def test_integral_check_builds_no_grid():
+    """At n = 2 and res 32 the two grid means used to hold 32^4 and 16^4
+    spectra (48.5 MB peak); read from the zero bin they need no array of
+    grid size."""
+    torus, chi = _surface("generic"), tk.Semicharacter((0.11, 0.52, 0.73, 0.29))
+    tk.integral_check(torus, chi, 2, resolution=8)   # the truncation audit and radius memo run untraced
+    tracemalloc.start()
+    try:
+        got, expected = tk.integral_check(torus, chi, 2, resolution=32)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
+    assert abs(got - expected) < 5e-3 * expected
+
+
+def test_product_density_factorizes(rng):
+    """On a product torus the density is the product of the factors'
+    densities, within the certified halfwidths of all three sums."""
+    sq1, skew = tk.standard_torus(1j, 1), tk.standard_torus(0.3 + 1.2j, 1)
+    prod = tk.product_torus(sq1, skew)
+    for _ in range(15):
+        k = int(rng.integers(1, 4))
+        chi_a, chi_b = random_chi(rng), random_chi(rng)
+        xa, xb = rng.random(2), rng.random(2)
+        ra = tk.rho_diag(sq1, chi_a, k, tk.TorusPoint.from_coords(sq1, xa))
+        rb = tk.rho_diag(skew, chi_b, k, tk.TorusPoint.from_coords(skew, xb))
+        rab = tk.rho_diag(prod, tk.Semicharacter(chi_a.phases + chi_b.phases), k,
+                          tk.TorusPoint.from_coords(prod, np.concatenate([xa, xb])))
+        ha, hb, hab = ra.density_halfwidth(1, k), rb.density_halfwidth(1, k), \
+            rab.density_halfwidth(2, k)
+        slack = hab + abs(ra.value) * hb + (abs(rb.value) + hb) * ha
+        assert abs(rab.value - ra.value * rb.value) <= slack + 1e-13 * (k / TWO_PI) ** 2
 
 
 def test_offdiag_bound_value(sq1):

@@ -1,6 +1,7 @@
 """Lattice layer: validation, enumeration, shells, semicharacters."""
 
 import gc
+import inspect
 import itertools
 import math
 import weakref
@@ -117,6 +118,12 @@ def test_enumeration_cap_raises():
     with pytest.raises(tk.RadiusTooLarge) as exc:
         tk.enumerate_within(torus, 300.0, cap=100)
     assert exc.value.required_cap > 100
+
+
+def test_enumeration_cap_defaults_to_the_module_constant():
+    """The benchmark reads enumerate_within's default cap from its signature."""
+    for call in (tk.enumerate_within, tk.enumerate_shifted):
+        assert inspect.signature(call).parameters["cap"].default == _lattice.ENUM_CAP
 
 
 def test_shifted_enumeration_cap_raises(skew):
