@@ -10,7 +10,8 @@ Three capabilities built on the loop sum:
   otherwise).
 
 * ``find_extrema`` locates density extrema by grid scan and damped
-  Newton refinement on the analytic gradient and Hessian, then reports
+  Newton refinement on the analytic gradient and Hessian, all tied cells
+  of both kinds in one batch, each row as if alone, then reports
   the distance to the nearest holonomy-congruence prediction: maxima
   track holonomy +1 on the first shell, minima holonomy -1, and the
   agreement sharpens like exp((k/4)(l1^2 - l2^2)) as k grows, which
@@ -35,7 +36,7 @@ import numpy as np
 
 from .errors import FitResidualTooLarge, InconsistentSystem, ValidationError, check_count
 from .intlin import extended_gcd_row, smith_normal_form
-from .kernel import DEFAULT_EPS, _grid_values, _prepare
+from .kernel import DEFAULT_EPS, _check_grid, _grid_values, _prepare
 from .lattice import (
     HOL_SIGN,
     TWO_PI,
@@ -78,7 +79,7 @@ def solve_holonomy(torus, chi, target, mesh=8):
     The solutions are built as one coordinate array: the meshgrid Y of
     the choices (w_i mod 1 + j)/d_i on each pinned Smith row and j/mesh
     on each free direction, mapped back by X = (Y V^T) mod 1.  TorusPoints
-    are made only for the sorted, distinct rows of X.
+    are made only for the sorted, distinct rows of X, by one matmul.
     """
     k = target.k
     check_count(k, 1, "k")
@@ -104,19 +105,29 @@ def solve_holonomy(torus, chi, target, mesh=8):
     for i in range(rank, m):
         frac = abs(w[i] - round(w[i]))
         if frac > 1e-9:
-            raise InconsistentSystem(
-                f"row {i}: dependent holonomy constraint off by {frac:.3e}"
-            )
+            raise InconsistentSystem(f"row {i}: dependent holonomy constraint off by {frac:.3e}")
 
     choices = [((w[i] % 1.0 + np.arange(int(D[i, i]))) / int(D[i, i])) % 1.0
                for i in range(rank)]
     choices += [np.arange(mesh) / mesh] * (two_n - rank)
     Y = np.stack(np.meshgrid(*choices, indexing="ij"), axis=-1).reshape(-1, two_n)
-    X = (Y @ np.array(V, dtype=float).T) % 1.0
-    pts = sorted({tuple(round(c % 1.0, 12) % 1.0 for c in x) for x in X.tolist()})
-    points = tuple(TorusPoint.from_coords(torus, np.array(p)) for p in pts)
+    X = _round12((Y @ np.array(V, dtype=float).T) % 1.0) % 1.0
+    X = X[np.lexsort(X.T[::-1])]
+    X = X[np.r_[True, np.any(X[1:] != X[:-1], axis=1)]]
+    points = TorusPoint._from_coord_rows(torus, X)
     free = tuple(tuple(int(V[j, i]) for j in range(two_n)) for i in range(rank, two_n))
     return HolonomySolutions(points=points, underdetermined=rank < two_n, free_directions=free)
+
+
+def _round12(X):
+    """round(x, 12) for each entry, as rint(x*1e12)/1e12: for |x| < 4 the two differ only
+    where x*1e12 rounds across a half-way point, by less than 2^-10, so entries that close
+    to one go through round() itself."""
+    Y = X * 1e12
+    out = np.rint(Y) / 1e12
+    near = np.abs(Y - np.floor(Y) - 0.5) < 2.0 ** -10
+    out[near] = [round(x, 12) for x in X[near].tolist()]
+    return out
 
 
 # -- extrema ---------------------------------------------------------------
@@ -136,51 +147,57 @@ class ExtremumReport:
 def _independent_first_shell(sh):
     """The first-shell vectors of ``sh`` that raise the rank, in order."""
     chosen = []
-    rows = []
     for v in sh.S1:
-        trial = rows + [list(v.coords)]
-        if np.linalg.matrix_rank(np.array(trial, dtype=float)) > len(rows):
+        rows = np.array([u.coords for u in chosen] + [v.coords], dtype=float)
+        if np.linalg.matrix_rank(rows) > len(chosen):
             chosen.append(v)
-            rows = trial
     return tuple(chosen)
 
 
-def _refine_candidate(prep, x0, kind):
-    """Damped Newton ascent on f = +rho (maxima) or -rho (minima) from x0.
+def _newton_steps(H, G):
+    """Solutions s of H s = -g for a stack, row by row once one H is singular (s = 0 there)."""
+    try:
+        return np.linalg.solve(H, -G[:, :, None])[:, :, 0]
+    except np.linalg.LinAlgError:
+        if len(G) == 1:
+            return np.zeros_like(G)
+        return np.concatenate([_newton_steps(H[i:i + 1], G[i:i + 1]) for i in range(len(G))])
 
-    The step solves H s = -g; when H is singular or s does not point
-    uphill (g.s <= 0), the step is g scaled to the cap, since on a flat
-    landscape g itself is too short to change f in floating point.  A
-    step is capped at max-norm 0.25 and halved until f strictly improves;
-    the search ends when no step down to 2^-50 improves, or after
-    REFINE_ITERS steps.  Returns the point reduced mod 1 and its density.
-    """
-    sgn = 1.0 if kind == "max" else -1.0
-    x = np.array(x0, dtype=float)
-    f = sgn * float(prep.density(x))
+
+def _refine(prep, X, sgn):
+    """Damped Newton ascent on f = sgn*rho (sgn = +1 seeks a maximum, -1 a minimum) from every
+    row of X at once, each row stepping as if alone.  The step solves H s = -g; when H is
+    singular or s does not point uphill (g.s <= 0), it is g scaled to the cap, since on a flat
+    landscape g itself is too short to change f in floating point.  A step is capped at max-norm
+    0.25 and halved until f strictly improves; a row stops when no step down to 2^-50 improves,
+    or after REFINE_ITERS steps.  Returns the rows reduced mod 1 and their densities."""
+    X = np.array(X, dtype=float)
+    F = sgn * prep.density(X)
+    live = np.arange(len(X))
     for _ in range(REFINE_ITERS):
-        g = sgn * prep.gradient(x)
-        g_max = float(np.max(np.abs(g)))
-        if g_max == 0.0:
+        G = sgn[live, None] * prep.gradient(X[live])
+        g_max = np.max(np.abs(G), axis=1)
+        live, G, g_max = live[g_max > 0.0], G[g_max > 0.0], g_max[g_max > 0.0]
+        if not live.size:
             break
-        try:
-            step = np.linalg.solve(sgn * prep.hessian(x), -g)
-        except np.linalg.LinAlgError:
-            step = np.zeros_like(g)
-        if not g @ step > 0.0:
-            step = g / g_max
-        limit = float(np.max(np.abs(step)))
-        if limit > 0.25:
-            step *= 0.25 / limit
-        while np.max(np.abs(step)) >= 2.0 ** -50:
-            f_new = sgn * float(prep.density(x + step))
-            if f_new > f:
-                break
-            step *= 0.5
-        else:
-            break
-        x, f = x + step, f_new
-    return x % 1.0, sgn * f
+        step = _newton_steps(sgn[live, None, None] * prep.hessian(X[live]), G)
+        uphill = (G[:, None, :] @ step[:, :, None])[:, 0, 0] > 0.0     # g @ step, row by row
+        step = np.where(uphill[:, None], step, G / g_max[:, None])
+        step *= (0.25 / np.maximum(np.max(np.abs(step), axis=1), 0.25))[:, None]
+        moved = np.zeros(len(live), dtype=bool)
+        search = np.flatnonzero(np.max(np.abs(step), axis=1) >= 2.0 ** -50)
+        while search.size:
+            rows = live[search]
+            f = sgn[rows] * prep.density(X[rows] + step[search])
+            up = f > F[rows]
+            X[rows[up]] += step[search[up]]
+            F[rows[up]] = f[up]
+            moved[search[up]] = True
+            search = search[~up]
+            step[search] *= 0.5
+            search = search[np.max(np.abs(step[search]), axis=1) >= 2.0 ** -50]
+        live = live[moved]
+    return X % 1.0, sgn * F
 
 
 def find_extrema(torus, chi, k, resolution=32, eps=1e-12):
@@ -189,35 +206,37 @@ def find_extrema(torus, chi, k, resolution=32, eps=1e-12):
     Returns (max_report, min_report).  All grid cells within 1e-9 of the
     grid optimum are refined and reported, so exact multiplicity (as in
     the even-pairing case, where several half-period points tie) is
-    preserved.
+    preserved.  The tied cells of both kinds are refined together, in
+    blocks whose (rows, terms) arrays are no larger than the grid.
     """
-    check_count(resolution, 16, "resolution")
+    _check_grid(torus, resolution, 16)
     prep = _prepare(torus, chi, k, eps=eps)
     values = _grid_values(prep, resolution)
     sh = shells(torus)
     window = math.exp(0.25 * k * (sh.l1 ** 2 - sh.l2 ** 2))
     indep = _independent_first_shell(sh)
 
+    ties = [np.argwhere(np.abs(values - best) <= 1e-9) for best in (values.max(), values.min())]
+    X0 = np.concatenate(ties) / resolution
+    sgn = np.repeat([1.0, -1.0], [len(t) for t in ties])
+    block = max(1, values.size // prep.terms)
+    parts = [_refine(prep, X0[i:i + block], sgn[i:i + block]) for i in range(0, len(X0), block)]
+    X, F = (np.concatenate(a) for a in zip(*parts))
     reports = {}
-    for kind, hol in (("max", 1.0), ("min", -1.0)):
-        best = float(np.max(values) if kind == "max" else np.min(values))
-        tied = np.argwhere(np.abs(values - best) <= 1e-9)
-        cells = sorted(tuple(idx) for idx in tied)
-        refined = [_refine_candidate(prep, np.divide(c, resolution), kind) for c in cells]
-        opt = max(v for _, v in refined) if kind == "max" else min(v for _, v in refined)
-        keep = [(x, v) for x, v in refined if abs(v - opt) <= 1e-9]
-        locs = sorted((tuple(float(c) for c in x) for x, _ in keep))
-        dedup = []
-        for loc in locs:
-            if not any(max(abs((a - b + 0.5) % 1.0 - 0.5) for a, b in zip(loc, seen)) < 1e-6
-                       for seen in dedup):
-                dedup.append(loc)
-        points = tuple(TorusPoint.from_coords(torus, np.array(loc)) for loc in dedup)
+    for kind, hol, rows in (("max", 1.0, sgn > 0), ("min", -1.0, sgn < 0)):
+        opt = float(np.max(F[rows]) if kind == "max" else np.min(F[rows]))
+        locs = X[rows][np.abs(F[rows] - opt) <= 1e-9]
+        locs = locs[np.lexsort(locs.T[::-1])]
+        dedup = locs[:1]
+        for x in locs[1:]:
+            if np.min(np.max(np.abs((x - dedup + 0.5) % 1.0 - 0.5), axis=1)) >= 1e-6:
+                dedup = np.vstack([dedup, x])
+        points = TorusPoint._from_coord_rows(torus, dedup)
         sol = solve_holonomy(torus, chi, HolonomyTarget(
             vectors=indep, targets=(complex(hol),) * len(indep), k=k))
         dist = _nearest_distance(torus, points[0], sol.points)
         reports[kind] = ExtremumReport(
-            kind=kind, location=points[0], value=float(opt), predicted=sol.points,
+            kind=kind, location=points[0], value=opt, predicted=sol.points,
             distance=float(dist), tied_locations=points, window=window,
         )
     return reports["max"], reports["min"]
@@ -332,7 +351,7 @@ def compare_bundles(torus, chi_a, chi_b, k, resolution=32, eps=DEFAULT_EPS):
     of the k-th powers on every basis loop are compared; agreement means
     the powers are isomorphic even when the bundles themselves differ.
     """
-    check_count(resolution, 2, "resolution")
+    _check_grid(torus, resolution, 2)
     prep_a = _prepare(torus, chi_a, k, eps=eps)
     prep_b = _prepare(torus, chi_b, k, eps=eps)
     va = _grid_values(prep_a, resolution)
@@ -342,9 +361,7 @@ def compare_bundles(torus, chi_a, chi_b, k, resolution=32, eps=DEFAULT_EPS):
     max_diff = float(diff[idx])
     threshold = prep_a.scale * (prep_a.tail + prep_b.tail) + 1e-10 * prep_a.scale
     if max_diff > threshold:
-        witness = TorusPoint.from_coords(
-            torus, np.array(idx, dtype=float) / resolution
-        )
+        witness = TorusPoint.from_coords(torus, np.array(idx, dtype=float) / resolution)
         return BundleComparison(verdict="distinct", max_diff=max_diff, threshold=threshold,
                                 witness=witness, recovered=None)
 

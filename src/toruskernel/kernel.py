@@ -53,6 +53,8 @@ from .lattice import (
 
 DEFAULT_EPS = 1e-10
 
+GRID_CAP = 2 ** 24     # most cells of a density grid; a larger res^(2n) raises ValidationError
+
 
 @dataclass(frozen=True)
 class SeriesResult:
@@ -84,22 +86,28 @@ def _check_power(k, eps=None):
 def tail_bound(torus, R, k):
     """Packing bound on the loop mass beyond radius R (unweighted units).
 
-    Requires R >= l1; monotone decreasing in both R and k.
+    Requires R >= l1; monotone decreasing in both R and k.  The sum stops at the first term
+    below 1e-300, or at a term below the one before it and half an ulp of the total: the term
+    ratio decreases in j, so each later term is absorbed by round-to-nearest, bit for bit.
     """
     _check_power(k)
     l1 = _l1(torus)
-    if R < l1 * (1.0 - 1e-12):
-        raise ValidationError(f"tail bound needs R >= shortest length {l1:.6g}, got {R:.6g}")
-    two_n = 2 * torus.n
-    total = 0.0
-    j = 0
+    if not l1 * (1.0 - 1e-12) <= R < math.inf:
+        raise ValidationError(f"tail bound needs a finite R >= l1 = {l1:.6g}, got {R:.6g}")
+    return _tail_sum(R, k, l1, 2 * torus.n)
+
+
+def _tail_sum(R, k, l1, two_n):
+    """The sum behind ``tail_bound``, unchecked."""
+    total, prev, j = 0.0, math.inf, 0
     while True:
         term = math.exp(-0.25 * k * (R + j) ** 2) * (1.0 + 2.0 * (R + j + 1) / l1) ** two_n
+        if term < prev and term < 0.5 * math.ulp(total):
+            return total
         total += term
-        j += 1
         if term < 1e-300:
-            break
-    return total
+            return total
+        prev, j = term, j + 1
 
 
 def truncation_radius(torus, k, eps):
@@ -118,25 +126,20 @@ def truncation_radius(torus, k, eps):
 
 def _bisect_radius(torus, k, eps):
     """Grow-then-bisect search behind ``truncation_radius``."""
-    l1 = _l1(torus)
-    R = l1
-    if tail_bound(torus, R, k) <= eps:
-        return R
-    lo = R
-    hi = R
+    l1, two_n = _l1(torus), 2 * torus.n
+    lo = hi = l1
+    if _tail_sum(l1, k, l1, two_n) <= eps:
+        return l1
     for _ in range(400):
         hi *= 1.25
-        if tail_bound(torus, hi, k) <= eps:
+        if _tail_sum(hi, k, l1, two_n) <= eps:
             break
         lo = hi
     else:
         raise NumericError(f"no truncation radius reaches eps = {eps:g}")
     for _ in range(80):
         mid = 0.5 * (lo + hi)
-        if tail_bound(torus, mid, k) <= eps:
-            hi = mid
-        else:
-            lo = mid
+        lo, hi = (lo, mid) if _tail_sum(mid, k, l1, two_n) <= eps else (mid, hi)
         if hi - lo <= 1e-9 * hi:
             break
     return hi
@@ -160,21 +163,27 @@ class _PreparedSum:
         self.tail = tail_bound(torus, radius, k)
 
     def _turns(self, coords):
-        return np.asarray(coords, dtype=float) @ self._Af.T - self.chi_turns
+        return _rowwise(np.asarray(coords, dtype=float), self._Af.T) - self.chi_turns
 
     def density(self, coords):
         """scale * (1 + sum_v w_v cos(2*pi*turn_v(x))) for coords of shape (..., 2n)."""
         turns = self._turns(np.atleast_2d(coords))
-        out = self.scale * (1.0 + np.cos(TWO_PI * turns) @ self.weights)
+        out = self.scale * (1.0 + _rowwise(np.cos(TWO_PI * turns), self.weights[:, None])[..., 0])
         return out if np.asarray(coords).ndim > 1 else float(out[0])
 
     def gradient(self, coords):
         turns = self._turns(coords)
-        return -TWO_PI * self.scale * ((self.weights * np.sin(TWO_PI * turns)) @ self._Af)
+        return -TWO_PI * self.scale * _rowwise(self.weights * np.sin(TWO_PI * turns), self._Af)
 
     def hessian(self, coords):
         w = self.weights * np.cos(TWO_PI * self._turns(coords))
-        return -(TWO_PI ** 2) * self.scale * (self._Af.T * w) @ self._Af
+        return -(TWO_PI ** 2) * self.scale * (w[..., None, :] * self._Af.T) @ self._Af
+
+
+def _rowwise(a, B):
+    """a @ B for a of shape (..., p) as a stack of single rows: a row gives the same bits
+    alone as in a batch, where a 2-D a @ B takes another BLAS route."""
+    return (a[..., None, :] @ B)[..., 0, :]
 
 
 def _series_radius(torus, k, eps, radius):
@@ -212,6 +221,13 @@ def rho_gradient(torus, chi, k, p, eps=DEFAULT_EPS, radius=None):
     prep = _prepare(torus, chi, k, eps=eps, radius=radius)
     p = _as_point(torus, p)
     return prep.gradient(np.asarray(p.coords))
+
+
+def _check_grid(torus, resolution, least):
+    """check_count of ``resolution``, and at most GRID_CAP cells in its grid."""
+    check_count(resolution, least, "resolution")
+    if int(resolution) ** (2 * torus.n) > GRID_CAP:
+        raise ValidationError(f"resolution {resolution} gives a grid above GRID_CAP = {GRID_CAP}")
 
 
 def _grid_mean(prep, resolution):
@@ -266,7 +282,7 @@ class GridField:
 def rho_grid(torus, chi, k, resolution, eps=DEFAULT_EPS, radius=None):
     """Density on the full coordinate grid; one enumeration serves every
     point."""
-    check_count(resolution, 2, "resolution")
+    _check_grid(torus, resolution, 2)
     prep = _prepare(torus, chi, k, eps=eps, radius=radius)
     values = _grid_values(prep, resolution)
     values.setflags(write=False)

@@ -243,6 +243,13 @@ class TorusPoint:
         return cls(lift=lift, coords=tuple(float(v % 1.0) for v in x))
 
     @classmethod
+    def _from_coord_rows(cls, torus, X):
+        """``from_coords`` on each row of a finite (m, 2n) array, all lifts from one matmul."""
+        lifts = torus.embed(X)
+        lifts.setflags(write=False)
+        return tuple(map(cls, lifts, map(tuple, np.mod(X, 1.0).tolist())))
+
+    @classmethod
     def from_lift(cls, torus, z):
         z = np.asarray(z, dtype=complex)
         if z.size != torus.n:

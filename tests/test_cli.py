@@ -168,6 +168,25 @@ def test_huge_radius_is_numeric_failure(tmp_path, capsys):
     assert "RadiusTooLarge" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command,flags", [
+    ("grid", []), ("extrema", []), ("compare", ["--chi2", "0.5,0.0"]),
+    ("rigidity", ["--kmin", "1", "--kmax", "2"]),
+])
+def test_oversized_grid_exits_1_without_traceback(tmp_path, command, flags):
+    """--res 100000 used to end in a MemoryError traceback; it is now
+    refused against GRID_CAP before any grid is allocated."""
+    cfg = write_config(tmp_path)
+    src = os.path.dirname(os.path.dirname(tk.__file__))
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    proc = subprocess.run([sys.executable, "-m", "toruskernel", command, "--config", cfg,
+                           "--res", "100000", *flags],
+                          capture_output=True, text=True, timeout=60, env=env)
+    assert proc.returncode == 1
+    assert "ValidationError" in proc.stderr and "GRID_CAP" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
+
+
 def test_hol_requires_vector(tmp_path, capsys):
     cfg = write_config(tmp_path)
     assert main(["hol", "--config", cfg, "--point", "0,0"]) == 1

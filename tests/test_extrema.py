@@ -8,9 +8,9 @@ import pytest
 from scipy import optimize
 
 import toruskernel as tk
-from toruskernel.extrema import _independent_first_shell
+from toruskernel.extrema import _independent_first_shell, _refine, _round12
 from toruskernel.intlin import extended_gcd_row, smith_normal_form
-from toruskernel.kernel import _prepare
+from toruskernel.kernel import _grid_values, _prepare
 
 from conftest import random_chi
 
@@ -278,6 +278,14 @@ def _reference_extrema(torus, chi, k, resolution):
 
 
 _Z = np.array([[0.2 + 1.1j, 0.3 + 0.25j], [0.3 + 0.25j, 0.1 + 0.9j]])
+
+
+def _reference_torus(tau, d):
+    if tau is None:
+        return tk.PolarizedTorus(n=2, basis=np.vstack([np.eye(2), _Z.T]), H=np.linalg.inv(_Z.imag))
+    return tk.standard_torus(tau, d)
+
+
 _REFERENCE_INPUTS = (
     [(name, tau, d, phases, k, 32) for name, tau, d, phases in (
         ("sq1", 1j, 1, (0.0, 0.0)), ("d2", 1j, 2, (0.0, 0.0)),
@@ -295,11 +303,7 @@ _REFERENCE_INPUTS = (
 def test_find_extrema_matches_reference_refiner(name, tau, d, phases, k, res):
     """Damped Newton reaches the extremum values of Nelder-Mead plus
     Newton; on d = 1 tori it also finds the same tied locations."""
-    if tau is None:
-        torus = tk.PolarizedTorus(n=2, basis=np.vstack([np.eye(2), _Z.T]),
-                                  H=np.linalg.inv(_Z.imag))
-    else:
-        torus = tk.standard_torus(tau, d)
+    torus = _reference_torus(tau, d)
     chi = tk.Semicharacter(phases)
     ref = _reference_extrema(torus, chi, k, res)
     scale = (k / TWO_PI) ** torus.n
@@ -311,6 +315,93 @@ def test_find_extrema_matches_reference_refiner(name, tau, d, phases, k, res):
             assert len(got) == len(ties)
             for t in ties:
                 assert min(max(map(circ, t, g)) for g in got) < 1e-6
+
+
+def _refine_candidate(prep, x0, kind):
+    """The former refiner, one candidate at a time, kept as a reference:
+    damped Newton ascent on f = +rho (maxima) or -rho (minima) from x0,
+    with the step rules that ``_refine`` applies to each of its rows."""
+    sgn = 1.0 if kind == "max" else -1.0
+    x = np.array(x0, dtype=float)
+    f = sgn * float(prep.density(x))
+    for _ in range(tk.extrema.REFINE_ITERS):
+        g = sgn * prep.gradient(x)
+        g_max = float(np.max(np.abs(g)))
+        if g_max == 0.0:
+            break
+        try:
+            step = np.linalg.solve(sgn * prep.hessian(x), -g)
+        except np.linalg.LinAlgError:
+            step = np.zeros_like(g)
+        if not g @ step > 0.0:
+            step = g / g_max
+        limit = float(np.max(np.abs(step)))
+        if limit > 0.25:
+            step *= 0.25 / limit
+        while np.max(np.abs(step)) >= 2.0 ** -50:
+            f_new = sgn * float(prep.density(x + step))
+            if f_new > f:
+                break
+            step *= 0.5
+        else:
+            break
+        x, f = x + step, f_new
+    return x % 1.0, sgn * f
+
+
+_REFINER_INPUTS = _REFERENCE_INPUTS + [("product-chi0", "product", None, (0.0,) * 4, 1, 16)]
+
+
+@pytest.mark.parametrize("name,tau,d,phases,k,res", _REFINER_INPUTS,
+                         ids=[f"{c[0]}-k{c[4]}" for c in _REFINER_INPUTS])
+def test_batched_refiner_matches_former_refiner(name, tau, d, phases, k, res):
+    """Every tied cell of both kinds, refined in one batch, lands where the
+    one-candidate refiner takes it; product-chi0 has 511 tied minima."""
+    torus = _product_surface() if tau == "product" else _reference_torus(tau, d)
+    prep = _prepare(torus, tk.Semicharacter(phases), k, eps=1e-12)
+    values = _grid_values(prep, res)
+    cells = {kind: np.argwhere(np.abs(values - best) <= 1e-9)
+             for kind, best in (("max", np.max(values)), ("min", np.min(values)))}
+    X0 = np.concatenate([cells["max"], cells["min"]]) / res
+    sgn = np.repeat([1.0, -1.0], [len(cells["max"]), len(cells["min"])])
+    X, F = _refine(prep, X0, sgn)
+    kinds = ["max"] * len(cells["max"]) + ["min"] * len(cells["min"])
+    if name == "product-chi0":
+        assert len(cells["min"]) == 511
+    scale = (k / TWO_PI) ** torus.n
+    for x0, kind, x, f in zip(X0, kinds, X, F):
+        want_x, want_f = _refine_candidate(prep, x0, kind)
+        assert abs(f - want_f) <= 1e-13 * scale
+        assert max(map(circ, x, want_x)) <= 1e-9
+
+
+def _half_way_straddles():
+    """x = (N + 0.5)/10^12 and its float neighbours, where x*1e12 rounds
+    to either side of the half-way point."""
+    for N in (0, 1, 7, 122070312, 10 ** 6 + 3, 4 * 10 ** 11 + 1, 10 ** 12 - 1, 1999999999999):
+        x = (N + 0.5) / 1e12
+        yield from (x, math.nextafter(x, 0.0), math.nextafter(x, 1.0), -x)
+
+
+def test_round12_is_python_round(rng):
+    x = np.array(list(_half_way_straddles()) + list(rng.uniform(-2.0, 2.0, 5000))
+                 + [0.0, 1.0, 0.5, 2.0 ** -13, 1 - 2.0 ** -53])
+    got = _round12(x)
+    want = np.array([round(v, 12) for v in x.tolist()])
+    assert got.tobytes() == want.tobytes()
+
+
+def test_batch_points_match_from_coords(rng):
+    for torus in (tk.standard_torus(0.3 + 1.2j, 2), _product_surface(), _reference_torus(None, None)):
+        X = np.vstack([rng.random((40, 2 * torus.n)), np.zeros(2 * torus.n),
+                       np.full(2 * torus.n, 1.0 - 2.0 ** -53)])
+        got = tk.TorusPoint._from_coord_rows(torus, X)
+        want = [tk.TorusPoint.from_coords(torus, x) for x in X]
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert np.array(g.coords).tobytes() == np.array(w.coords).tobytes()
+            assert np.max(np.abs(g.lift - w.lift)) <= 1e-15
+            assert not g.lift.flags.writeable
 
 
 def test_localization_sweep(sq1):

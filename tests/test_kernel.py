@@ -6,9 +6,12 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import toruskernel as tk
-from toruskernel.kernel import _grid_mean, _grid_values, _prepare
+from toruskernel import kernel as _kernel
+from toruskernel.kernel import GRID_CAP, _check_grid, _grid_mean, _grid_values, _prepare
 
 from conftest import brute_rho, random_chi, random_torus
 
@@ -45,6 +48,86 @@ def test_truncation_radius_is_minimal(sq1, skew):
         assert tk.tail_bound(torus, R, k) <= eps
         # a slightly smaller radius must already miss the target
         assert tk.tail_bound(torus, 0.999 * R, k) > eps
+
+
+def _reference_tail_bound(torus, R, k):
+    """The former tail loop, kept as a reference: every term down to the
+    first one below 1e-300."""
+    l1 = tk.shells(torus).l1
+    two_n = 2 * torus.n
+    total = 0.0
+    j = 0
+    while True:
+        term = math.exp(-0.25 * k * (R + j) ** 2) * (1.0 + 2.0 * (R + j + 1) / l1) ** two_n
+        total += term
+        j += 1
+        if term < 1e-300:
+            break
+    return total
+
+
+def _reference_bisect_radius(torus, k, eps):
+    """The grow-then-bisect search on the reference tail loop."""
+    lo = hi = tk.shells(torus).l1
+    if _reference_tail_bound(torus, hi, k) <= eps:
+        return hi
+    while True:
+        hi *= 1.25
+        if _reference_tail_bound(torus, hi, k) <= eps:
+            break
+        lo = hi
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        if _reference_tail_bound(torus, mid, k) <= eps:
+            hi = mid
+        else:
+            lo = mid
+        if hi - lo <= 1e-9 * hi:
+            break
+    return hi
+
+
+_SQ = tk.standard_torus(1j, 1)
+_SKEW = tk.standard_torus(0.3 + 1.2j, 1)
+_GEN_Z = np.array([[0.2 + 1.1j, 0.3 + 0.25j], [0.3 + 0.25j, 0.1 + 0.9j]])
+_TAIL_TORI = {
+    "sq1": _SQ, "skew-d2": tk.standard_torus(0.3 + 1.2j, 2), "rect": tk.standard_torus(2j, 2),
+    "product": tk.product_torus(_SQ, _SKEW),
+    "generic": tk.PolarizedTorus(n=2, basis=np.vstack([np.eye(2), _GEN_Z.T]),
+                                 H=np.linalg.inv(_GEN_Z.imag)),
+    "threefold": tk.product_torus(tk.product_torus(_SQ, _SKEW), tk.standard_torus(2j, 1)),
+}
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(name=st.sampled_from(sorted(_TAIL_TORI)), k=st.integers(1, 10 ** 4),
+       u=st.floats(1.0, 12.0))
+@example(name="sq1", k=1, u=1.0)
+@example(name="threefold", k=1, u=1.0)
+@example(name="generic", k=10 ** 4, u=12.0)
+def test_tail_bound_early_exit_is_bit_identical(name, k, u):
+    """Stopping once the remaining terms are absorbed by round-to-nearest
+    gives the sum down to 1e-300 bit for bit."""
+    torus = _TAIL_TORI[name]
+    R = tk.shells(torus).l1 * u
+    assert tk.tail_bound(torus, R, k).hex() == _reference_tail_bound(torus, R, k).hex()
+
+
+@pytest.mark.parametrize("name", sorted(_TAIL_TORI))
+def test_truncation_radius_is_bit_identical_to_the_former_search(name):
+    torus = _TAIL_TORI[name]
+    for k in (1, 2, 3, 4, 7, 20, 100, 1000, 10 ** 4):
+        for eps in (1e-6, 1e-8, 1e-10, 1e-12, 1e-300, 5e-324):
+            want = _reference_bisect_radius(torus, k, eps)
+            assert _kernel._bisect_radius(torus, k, eps).hex() == want.hex()
+            assert tk.truncation_radius(torus, k, eps).hex() == want.hex()
+
+
+@pytest.mark.parametrize("R", [math.nan, math.inf])
+def test_tail_bound_rejects_a_non_finite_radius(sq1, R):
+    """A NaN or infinite R never ended the tail loop."""
+    with pytest.raises(tk.ValidationError, match="finite"):
+        tk.tail_bound(sq1, R, 1)
 
 
 def test_diagonal_value_square_torus(sq1, chi0):
@@ -241,6 +324,38 @@ def test_grid_csv_deterministic(sq1, chi0):
 def test_grid_rejects_tiny_resolution(sq1, chi0):
     with pytest.raises(tk.ValidationError):
         tk.rho_grid(sq1, chi0, 1, 1)
+
+
+def test_grid_cap_is_a_validation_error(sq1, chi0):
+    """A grid above GRID_CAP cells is refused before any radius search or
+    allocation; res 100000 used to end in a 149 GiB MemoryError."""
+    assert GRID_CAP == 2 ** 24
+    _check_grid(sq1, 4096, 2)
+    product = tk.product_torus(tk.standard_torus(1j, 1), tk.standard_torus(2j, 1))
+    _check_grid(product, 64, 16)
+    chi2 = tk.Semicharacter.trivial(2)
+    calls = [
+        lambda t: tk.rho_grid(t, chi0, 1, 4097),
+        lambda t: tk.rho_grid(t, chi0, 1, 100000),
+        lambda t: tk.find_extrema(t, chi0, 1, resolution=100000),
+        lambda t: tk.compare_bundles(t, chi0, tk.Semicharacter((0.5, 0.0)), 1, resolution=10 ** 6),
+        lambda t: tk.localization_sweep(t, chi0, (1, 2), resolution=100000),
+    ]
+    for call in calls:
+        torus = tk.standard_torus(1j, 1)
+        with pytest.raises(tk.ValidationError, match="GRID_CAP"):
+            call(torus)
+        assert torus not in tk.lattice._DERIVED
+    with pytest.raises(tk.ValidationError, match="GRID_CAP"):
+        tk.rho_grid(product, chi2, 1, 65)
+    # n = 3 at compare's default res 32 would need 32^6 = 1.1e9 cells
+    threefold = tk.product_torus(product, tk.standard_torus(1j, 1))
+    chi3 = tk.Semicharacter.trivial(3)
+    with pytest.raises(tk.ValidationError, match="GRID_CAP"):
+        tk.compare_bundles(threefold, chi3, chi3, 1)
+    # a numpy integer is not allowed to wrap around in res^(2n)
+    with pytest.raises(tk.ValidationError, match="GRID_CAP"):
+        _check_grid(threefold, np.int64(10 ** 7), 2)
 
 
 def test_integral_counts_sections(sq1, d2, chi0):
