@@ -3,8 +3,11 @@
 Two flat twists with the same k-th power have identical k-th densities,
 so the density can only ever determine the bundle up to k-th roots of
 unity on each basis loop.  compare_bundles finds a witness point when
-the densities genuinely differ, and otherwise certifies that the k-th
-powers agree by reading the holonomy back off the density profile.
+the densities genuinely differ, and otherwise compares the k-th power
+holonomies of the basis loops, which are exact in the lattice data:
+the powers agree when k times the phase difference is an integer on
+every loop.  The pushforward fit below reads the same holonomy back off
+the density profile alone.
 """
 
 import math

@@ -25,7 +25,7 @@ from .config import load_bundle
 from .errors import NumericError, ValidationError, check_count
 from .extrema import compare_bundles, find_extrema, localization_sweep
 from .holonomy import hol_closed, hol_ode
-from .kernel import offdiag_bound, rho_diag, rho_grid
+from .kernel import DEFAULT_EPS, offdiag_bound, rho_diag, rho_grid
 from .lattice import Semicharacter, TorusPoint, validate
 from .theta import build_basis, build_gram, rho_oracle
 
@@ -238,7 +238,7 @@ _FLAGS = {
     "config": dict(help="JSON bundle config"),
     "out": dict(help="output file (default stdout)"),
     "k": dict(type=int, default=None, help="power override"),
-    "eps": dict(type=float, default=1e-10, help="series tail target"),
+    "eps": dict(type=float, default=DEFAULT_EPS, help="series tail target"),
     "res": dict(type=int, default=32, help="grid resolution"),
     "radius": dict(type=float, default=None, help="override the series truncation radius"),
     "point": dict(help="comma-separated lattice coordinates"),

@@ -34,7 +34,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ValidationError, check_count, check_finite
+from .errors import RadiusTooLarge, ValidationError, check_count, check_finite
+from .lattice import ENUM_CAP
 
 TWO_PI = 2.0 * math.pi
 
@@ -73,32 +74,50 @@ def norm_integral_Ia(params, a):
     return TWO_PI * params.eta ** 2 * math.exp((a - params.m_k) ** 2 / ke2) * math.sqrt(math.pi / ke2)
 
 
-def _direct_cutoff(ke2):
-    # terms decay like exp(-j^2/ke2); stop once below ~1e-17
-    return int(math.ceil(6.3 * math.sqrt(ke2))) + 2
+def _ke2(params):
+    """k*eta^2, which both sums need as a positive finite float (RadiusTooLarge otherwise)."""
+    try:
+        ke2 = params.k * params.eta ** 2
+    except OverflowError:
+        ke2 = math.inf
+    if not 0.0 < ke2 < math.inf:
+        raise RadiusTooLarge(f"k*eta^2 = {ke2!r} is not a positive finite float")
+    return ke2
 
 
 def rho_cyl_direct(params):
-    """Density at t by direct summation over monomial sections."""
-    ke2 = params.k * params.eta ** 2
+    """Density at t by direct summation over monomial sections, at most ENUM_CAP of them."""
+    ke2 = _ke2(params)
     astar = params.m_k + ke2 * params.t
-    width = _direct_cutoff(ke2)
+    width = int(math.ceil(6.3 * math.sqrt(ke2))) + 2    # terms exp(-j^2/ke2) below ~1e-17 beyond
+    if 2 * width + 1 > ENUM_CAP:
+        raise RadiusTooLarge(f"the direct sum needs {2 * width + 1} terms, above ENUM_CAP")
     center = round(astar)
     a = np.arange(center - width, center + width + 1, dtype=float)
     total = float(np.sum(np.exp(-((a - astar) ** 2) / ke2)))
     return math.sqrt(params.k / math.pi) / (TWO_PI * params.eta) * total
 
 
+def _negligible(ke2, xi):
+    return math.exp(-ke2 * math.pi ** 2 * xi ** 2) < 1e-16
+
+
 def _poisson_cutoff(ke2):
-    xi = 1
-    while math.exp(-ke2 * math.pi ** 2 * (xi + 1) ** 2) >= 1e-16:
+    """The least xi >= 1 whose next loop weight is below 1e-16: the closed-form estimate,
+    stepped to the exact count (the weights decrease in xi)."""
+    xi = max(1, math.ceil(math.sqrt(math.log(1e16) / (ke2 * math.pi ** 2))) - 1)
+    while xi > 1 and _negligible(ke2, xi):
+        xi -= 1
+    while not _negligible(ke2, xi + 1):
         xi += 1
     return xi
 
 
 def rho_cyl_poisson(params):
-    """Density at t by the loop expansion (Poisson resummation)."""
-    ke2 = params.k * params.eta ** 2
+    """Density at t by the loop expansion (Poisson resummation), at most ENUM_CAP loops."""
+    ke2 = _ke2(params)
+    if not _negligible(ke2, ENUM_CAP + 1):
+        raise RadiusTooLarge(f"the loop sum needs more than ENUM_CAP = {ENUM_CAP} terms")
     top = _poisson_cutoff(ke2)
     xi = np.arange(1, top + 1, dtype=float)
     weights = np.exp(-ke2 * math.pi ** 2 * xi ** 2)

@@ -1,13 +1,14 @@
 """Density extrema, holonomy congruences, and bundle comparison.
 
-Three capabilities built on the loop sum:
+Three capabilities built on the loop sum and on the k-th power holonomy
+(A, phi) of ``lattice._holonomy_turns``, the turn A_v . x - phi_v at x:
 
 * ``solve_holonomy`` inverts prescribed holonomies: given target unit
   values on lattice vectors, the condition on the base point p is a
-  linear congruence system  k*s*(C E) x = b (mod 1)  in the lattice
-  coordinates x of p, with integer matrix; Smith normal form gives the
-  complete solution set (finite when the vectors span, a flagged family
-  otherwise).
+  linear congruence system  A x = b (mod 1)  in the lattice
+  coordinates x of p, with integer matrix A and b = target angle + phi;
+  Smith normal form gives the complete solution set (finite when the
+  vectors span, a flagged family otherwise).
 
 * ``find_extrema`` locates density extrema by grid scan and damped
   Newton refinement on the analytic gradient and Hessian, all tied cells
@@ -21,10 +22,11 @@ Three capabilities built on the loop sum:
   alone: averaging the loop sum over the fibers of the circle map
   q -> E(v1, q~)/g mod 1 (g the content of the integer row E(v1, .))
   kills every loop except the powers of v1 and leaves the profile
-  2*nu*sum_m exp(-(k/4) m^2 ell(v1)^2) cos(2*pi*m*(lambda*t + phi)),
-  whose fundamental phase phi is the holonomy angle at the basepoint.
-  ``compare_bundles`` uses that to tell genuinely different bundles from
-  different bundles with the same k-th power.
+  2*nu*sum_m exp(-(k/4) m^2 ell(v1)^2) cos(2*pi*m*(lambda*t + theta)),
+  whose fundamental phase theta is the holonomy angle -phi_v1 at the
+  basepoint.  ``compare_bundles`` tells genuinely different bundles from
+  different bundles with the same k-th power: by a grid witness, or else
+  by the exact angles -phi on the basis loops, which theta approximates.
 """
 
 from __future__ import annotations
@@ -37,15 +39,7 @@ import numpy as np
 from .errors import FitResidualTooLarge, InconsistentSystem, ValidationError, check_count
 from .intlin import extended_gcd_row, smith_normal_form
 from .kernel import DEFAULT_EPS, _check_grid, _grid_values, _prepare
-from .lattice import (
-    HOL_SIGN,
-    TWO_PI,
-    TorusPoint,
-    _as_vector,
-    _nearest_distance,
-    chi_phase_turns,
-    shells,
-)
+from .lattice import TWO_PI, TorusPoint, _as_vector, _holonomy_turns, _nearest_distance, shells
 
 REFINE_ITERS = 64      # damped Newton steps per extremum candidate
 FIT_HARMONICS = 4      # loop-frequency harmonics fitted to a pushforward profile
@@ -71,7 +65,7 @@ class HolonomySolutions:
 def solve_holonomy(torus, chi, target, mesh=8):
     """All base points whose k-th power holonomies match the targets.
 
-    Solves k*s*E(v_j, p~) = arg(t_j)/2pi + k*arg(chi(v_j))/2pi (mod 1)
+    Solves A_j . x = arg(t_j)/2pi + phi_j (mod 1), (A, phi) = ``_holonomy_turns``,
     by Smith normal form over the integers.  Dependent vectors with
     incompatible targets raise InconsistentSystem; when the vectors do
     not span, the solution family is sampled on a mesh and flagged.
@@ -90,14 +84,13 @@ def solve_holonomy(torus, chi, target, mesh=8):
         raise ValidationError(f"{m} vectors need {m} holonomy targets, got {len(target.targets)}")
     two_n = 2 * torus.n
     C = np.array([v.coords for v in vecs], dtype=object).reshape(m, two_n)
-    M = (k * HOL_SIGN) * (C @ np.array(torus.E, dtype=object))
+    M, phi = _holonomy_turns(torus, chi, k, C)
     b = np.empty(m)
-    for j, (v, t) in enumerate(zip(vecs, target.targets)):
+    for j, t in enumerate(target.targets):
         t = complex(t)
         if abs(abs(t) - 1.0) > 1e-6:
             raise ValidationError(f"holonomy target {t!r} is not on the unit circle")
-        b[j] = (math.atan2(t.imag, t.real) / TWO_PI
-                + k * chi_phase_turns(chi, torus, v.coords)) % 1.0
+        b[j] = (math.atan2(t.imag, t.real) / TWO_PI + phi[j]) % 1.0
 
     U, D, V = smith_normal_form(M)
     rank = sum(1 for i in range(min(m, two_n)) if D[i, i] != 0)
@@ -274,7 +267,7 @@ class PushforwardFit:
     residual: float
 
 
-def pushforward_fit(torus, chi, k, v1, eps=1e-12):
+def pushforward_fit(torus, chi, k, v1):
     """Recover the holonomy phase of the v1-loop from the density alone.
 
     The quotient circle is parameterized through a generator u with
@@ -293,7 +286,7 @@ def pushforward_fit(torus, chi, k, v1, eps=1e-12):
     if all(int(x) == 0 for x in row):
         raise ValidationError("v1 pairs trivially with the lattice; no circle map")
     g, c_u, kernel = extended_gcd_row(row)
-    lam_signed = k * HOL_SIGN * g
+    lam_signed = int(_holonomy_turns(torus, chi, k, np.array(v1.coords, dtype=object))[0] @ c_u)
 
     W = np.array(kernel, dtype=np.int64)                    # (2n, 2n-1)
     fiber_gram = W.T @ torus.gram @ W
@@ -301,7 +294,7 @@ def pushforward_fit(torus, chi, k, v1, eps=1e-12):
 
     lam = abs(lam_signed)
     T = max(64, 8 * lam)
-    prep = _prepare(torus, chi, k, eps=eps)
+    prep = _prepare(torus, chi, k, eps=1e-12)
 
     keep = np.all(prep.A @ W == 0, axis=1)
     freqs = prep.A[keep] @ np.array(c_u, dtype=np.int64)
@@ -321,10 +314,8 @@ def pushforward_fit(torus, chi, k, v1, eps=1e-12):
             f"profile fit residual {resid:.3e} against amplitude {amplitude:.3e} "
             f"(spectral peak {measured}, predicted {lam})"
         )
-    phase = (math.atan2(fundamental.imag, fundamental.real) / TWO_PI) % 1.0
-    if phase >= 1.0:
-        # float modulo can round a tiny negative up to exactly 1.0
-        phase = 0.0
+    # reduced twice: a tiny negative angle mod 1 rounds up to exactly 1.0
+    phase = (math.atan2(fundamental.imag, fundamental.real) / TWO_PI) % 1.0 % 1.0
     return PushforwardFit(phase=phase, frequency=int(lam_signed), measured_frequency=measured,
                           amplitude=amplitude, fiber_volume=nu, residual=resid / amplitude)
 
@@ -347,9 +338,9 @@ def compare_bundles(torus, chi_a, chi_b, k, resolution=32, eps=DEFAULT_EPS):
     """Decide whether two bundles have the same k-th power density.
 
     A grid maximum of |rho_a - rho_b| above the certified series error
-    is a witness of distinct powers.  Below it, the recovered holonomies
-    of the k-th powers on every basis loop are compared; agreement means
-    the powers are isomorphic even when the bundles themselves differ.
+    is a witness of distinct powers.  Below it, the k-th power holonomies -phi mod 1 of
+    ``_holonomy_turns`` on the basis loops at 0 (``pushforward_recover`` approximates them)
+    are compared; agreement means the powers are isomorphic even when the bundles differ.
     """
     _check_grid(torus, resolution, 2)
     prep_a = _prepare(torus, chi_a, k, eps=eps)
@@ -365,14 +356,11 @@ def compare_bundles(torus, chi_a, chi_b, k, resolution=32, eps=DEFAULT_EPS):
         return BundleComparison(verdict="distinct", max_diff=max_diff, threshold=threshold,
                                 witness=witness, recovered=None)
 
-    recovered = []
-    agree = True
-    for e in np.eye(2 * torus.n, dtype=int):
-        pa = pushforward_recover(torus, chi_a, k, e)
-        pb = pushforward_recover(torus, chi_b, k, e)
-        recovered.append((pa, pb))
-        if abs((pa - pb + 0.5) % 1.0 - 0.5) > 1e-6:
-            agree = False
+    loops = np.eye(2 * torus.n, dtype=np.int64)
+    phases = [np.mod(np.mod(-_holonomy_turns(torus, chi, k, loops)[1], 1.0), 1.0).tolist()
+              for chi in (chi_a, chi_b)]
+    recovered = tuple(zip(*phases))
+    agree = all(abs((pa - pb + 0.5) % 1.0 - 0.5) <= 1e-6 for pa, pb in recovered)
     verdict = "isomorphic_power" if agree else "distinct"
     return BundleComparison(verdict=verdict, max_diff=max_diff, threshold=threshold,
-                            witness=None, recovered=tuple(recovered))
+                            witness=None, recovered=recovered)

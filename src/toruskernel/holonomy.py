@@ -8,7 +8,8 @@ closed form
     Hol_k(p, v) = chi(v)^(-k) * exp(2*pi*i * k * s * E(v, p~)),
 
 where s = ``lattice.HOL_SIGN``; ``calibration_report`` checks it on demand
-against the transport ODE on a reference instance.  ``hol_ode`` is that
+against the transport ODE on a reference instance.  ``hol_closed`` is the turn of
+``lattice._holonomy_turns`` at the point's reduced coordinates.  ``hol_ode`` is the
 independent path: it integrates the frame coefficient
 
     u'(t) = u(t) * k*pi*H(v, p~ + t*v),  u(0) = 1,
@@ -28,14 +29,13 @@ import numpy as np
 
 from .errors import ModulusMismatch, StepCountTooSmall, check_count
 from .lattice import (
-    HOL_SIGN,
     LatticeVector,
     Semicharacter,
     TorusPoint,
     _as_point,
     _as_vector,
+    _holonomy_turns,
     automorphy_factor,
-    chi_phase_turns,
     standard_torus,
 )
 
@@ -61,11 +61,6 @@ class CalibrationReport:
     mismatch_minus: float
 
 
-def _loop_pairing(torus, v, p):
-    """E(v, p~) = Im H(v, p~) for a lattice vector and a point lift."""
-    return torus.hermitian_pair(v.embedding, p.lift).imag
-
-
 def hol_ode(torus, chi, k, p, v, steps=None):
     """Holonomy by parallel transport, the slow reference path.
 
@@ -78,11 +73,16 @@ def hol_ode(torus, chi, k, p, v, steps=None):
     2000).  A k or ``steps`` that is not an integer >= 1 raises
     ValidationError, 1 to 99 steps raise StepCountTooSmall, and a result
     more than 1e-6 off the unit circle raises ModulusMismatch, which
-    would mean the metric weight and the automorphy model disagree.
+    would mean the metric weight and the automorphy model disagree; so
+    does an automorphy factor that is not finite and nonzero, before any step.
     """
     check_count(k, 1, "k")
     p = _as_point(torus, p)
     v = _as_vector(torus, v)
+    with np.errstate(over="ignore", invalid="ignore"):       # an overflow is checked below
+        a = automorphy_factor(torus, chi, k, v.coords, p.lift)
+    if not (cmath.isfinite(a) and a != 0):
+        raise ModulusMismatch(f"automorphy factor {a!r} of the {v.coords}-loop is out of range")
     kpi = k * math.pi
     a0 = kpi * torus.hermitian_pair(v.embedding, p.lift)
     a1 = kpi * torus.hermitian_pair(v.embedding, v.embedding)
@@ -103,10 +103,9 @@ def hol_ode(torus, chi, k, p, v, steps=None):
         K4 = (a0 + (t + h) * a1) * (1.0 + h * K3)
         u *= complex(np.prod(1.0 + (h / 6.0) * (K1 + 2.0 * K2 + 2.0 * K3 + K4)))
 
-    a = automorphy_factor(torus, chi, k, v.coords, p.lift)
     hol = u / a
     r = abs(hol)
-    if abs(r - 1.0) > 1e-6:
+    if not abs(r - 1.0) <= 1e-6:
         raise ModulusMismatch(f"transport modulus off unit circle by {abs(r - 1.0):.3e}")
     hol = hol / r
     alpha = (math.atan2(hol.imag, hol.real) / (2.0 * math.pi)) % 1.0
@@ -124,7 +123,7 @@ def calibration_report() -> CalibrationReport:
     p = TorusPoint.from_lift(torus, [0.25])
     v = LatticeVector.from_coords(torus, [0, 1])
     ref = hol_ode(torus, Semicharacter.trivial(1), 1, p, v, steps=DEFAULT_ODE_STEPS).value
-    plus = cmath.exp(2j * math.pi * _loop_pairing(torus, v, p))
+    plus = cmath.exp(2j * math.pi * torus.hermitian_pair(v.embedding, p.lift).imag)
     mplus, mminus = abs(plus - ref), abs(plus.conjugate() - ref)
     if abs(mplus - mminus) < 0.5:
         raise ModulusMismatch(
@@ -143,7 +142,8 @@ def hol_closed(torus, chi, k, p, v):
     check_count(k, 1, "k")
     p = _as_point(torus, p)
     v = _as_vector(torus, v)
-    turns = k * (HOL_SIGN * _loop_pairing(torus, v, p) - chi_phase_turns(chi, torus, v.coords))
+    A, phi = _holonomy_turns(torus, chi, k, np.array(v.coords))
+    turns = float(A @ np.array(p.coords)) - phi
     value = complex(np.exp(2j * math.pi * turns))
     return HolonomyResult(value=value, alpha=float(turns % 1.0), method="closed_form")
 

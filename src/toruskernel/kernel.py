@@ -41,14 +41,13 @@ import numpy as np
 
 from .errors import NumericError, QuadratureUnconverged, ValidationError, check_count
 from .lattice import (
-    HOL_SIGN,
     TWO_PI,
     _as_point,
     _check_integral,
     _derived,
     _enumerate_sorted,
+    _holonomy_turns,
     _l1,
-    chi_phase_turns,
 )
 
 DEFAULT_EPS = 1e-10
@@ -156,10 +155,8 @@ class _PreparedSum:
         C, lengths = _enumerate_sorted(torus, radius)
         self.terms = len(lengths)
         self.weights = np.exp(-0.25 * k * lengths ** 2)
-        # turn(x) = k*s*E(v, x) - k*chi_turns(v);  E(v, sum x_i lambda_i) = (C E) x
-        self.A = (k * HOL_SIGN) * (C @ torus.E)
+        self.A, self.chi_turns = _holonomy_turns(torus, chi, k, C)
         self._Af = self.A.astype(float)
-        self.chi_turns = k * chi_phase_turns(chi, torus, C)
         self.tail = tail_bound(torus, radius, k)
 
     def _turns(self, coords):
@@ -200,7 +197,6 @@ def _series_radius(torus, k, eps, radius):
 
 def _prepare(torus, chi, k, eps=DEFAULT_EPS, radius=None):
     _check_power(k, eps)
-    _check_integral(torus)
     return _PreparedSum(torus, chi, k, _series_radius(torus, k, eps, radius))
 
 
@@ -316,14 +312,15 @@ def offdiag_bound(torus, k, x, y, eps=DEFAULT_EPS, radius=None):
     |K_k(x, y)| * exp(-k(phi(x~)+phi(y~))/2) is bounded by
     (k/2pi)^n * sum over translates u = y~ - x~ + v of exp(-(k/4) ell(u)^2);
     the translate sum is enumerated to the same radius policy as the
-    diagonal series and certified by the same packing tail.
+    diagonal series and certified by the same packing tail.  It covers
+    every translate, so its offset is y - x in reduced coordinates.
     """
     _check_power(k, eps)
+    _check_integral(torus)
     x = _as_point(torus, x)
     y = _as_point(torus, y)
     R = _series_radius(torus, k, eps, radius)
-    delta = np.asarray(y.lift) - np.asarray(x.lift)
-    _, lengths = _enumerate_sorted(torus, R, offset=torus.coords_from_lift(delta))
+    _, lengths = _enumerate_sorted(torus, R, offset=np.subtract(y.coords, x.coords))
     scale = (k / TWO_PI) ** torus.n
     value = scale * float(np.sum(np.exp(-0.25 * k * lengths ** 2)))
     return SeriesResult(value=value, radius=R, tail=tail_bound(torus, R, k),

@@ -227,7 +227,8 @@ class Semicharacter:
 
 @dataclass(frozen=True, eq=False)
 class TorusPoint:
-    """A point of the torus, stored as a lift in C^n plus reduced coordinates."""
+    """A point of the torus: coordinates reduced into [0, 1) and their embedding as the lift.
+    x mod 1 rounds up to 1.0 for a tiny negative x, so x is reduced twice."""
 
     lift: np.ndarray
     coords: tuple
@@ -238,27 +239,25 @@ class TorusPoint:
         if x.shape != (2 * torus.n,):
             raise ValidationError(f"coords must have length {2 * torus.n}, got shape {x.shape}")
         check_finite(x.tolist(), "point coordinates")
+        x = np.mod(np.mod(x, 1.0), 1.0)
         lift = torus.embed(x)
         lift.setflags(write=False)
-        return cls(lift=lift, coords=tuple(float(v % 1.0) for v in x))
+        return cls(lift=lift, coords=tuple(x.tolist()))
 
     @classmethod
     def _from_coord_rows(cls, torus, X):
         """``from_coords`` on each row of a finite (m, 2n) array, all lifts from one matmul."""
+        X = np.mod(np.mod(X, 1.0), 1.0)
         lifts = torus.embed(X)
         lifts.setflags(write=False)
-        return tuple(map(cls, lifts, map(tuple, np.mod(X, 1.0).tolist())))
+        return tuple(map(cls, lifts, map(tuple, X.tolist())))
 
     @classmethod
     def from_lift(cls, torus, z):
         z = np.asarray(z, dtype=complex)
         if z.size != torus.n:
             raise ValidationError(f"a lift needs {torus.n} entries, got shape {z.shape}")
-        z = z.reshape(torus.n).copy()
-        check_finite(z.tolist(), "point lift")
-        z.setflags(write=False)
-        x = torus.coords_from_lift(z)
-        return cls(lift=z, coords=tuple(float(v % 1.0) for v in x))
+        return cls.from_coords(torus, torus.coords_from_lift(z))
 
     @classmethod
     def zero(cls, torus):
@@ -530,35 +529,32 @@ def shells(torus):
 # -- semicharacter evaluation ---------------------------------------------
 
 
-def _cocycle_halfint(torus, coords):
-    """sum_{i<j} c_i c_j E[i][j] as exact integers, batched."""
-    C = np.asarray(coords, dtype=np.int64)
-    single = C.ndim == 1
-    C = np.atleast_2d(C)
-    EU = np.triu(torus.E, k=1)
-    S = np.einsum("ti,ij,tj->t", C, EU, C)
-    return (S[0] if single else S)
-
-
 def chi_phase_turns(chi, torus, coords):
     """Phase of chi on lattice coords, in turns (units of 2*pi), batched.
 
     chi(c) = exp(2*pi*i * (c . phases + S/2)) with the integer cocycle
     correction S = sum_{i<j} c_i c_j E[i][j]; the half-integer part is
-    exact, so powers of chi keep their exact signs.
+    exact, so powers of chi keep their exact signs.  E must be integral.
     """
+    _check_integral(torus)
     if len(chi.phases) != 2 * torus.n:
         raise ValidationError(
             f"semicharacter needs {2 * torus.n} phases, got {len(chi.phases)}")
     C = np.asarray(coords, dtype=np.int64)
     single = C.ndim == 1
     C = np.atleast_2d(C)
-    phases = np.asarray(chi.phases, dtype=float)
-    S = _cocycle_halfint(torus, C)
+    S = np.einsum("ti,ij,tj->t", C, np.triu(torus.E, k=1), C)
     # only S mod 2 enters the phase; reducing before the float cast keeps
     # the half turn exact for arbitrarily large coordinates
-    turns = C @ phases + (S % 2).astype(float) / 2.0
+    turns = C @ np.asarray(chi.phases, dtype=float) + (S % 2).astype(float) / 2.0
     return (float(turns[0]) if single else turns)
+
+
+def _holonomy_turns(torus, chi, k, C):
+    """The k-th power holonomy on the loops with integer coordinates C, as (A, phi): the turn
+    at lattice coordinates x is A . x - phi, A = k*s*(C E) in C's integer type and
+    phi = k*chi_phase_turns(C), so it depends on x mod 1 alone."""
+    return (k * HOL_SIGN) * (C @ torus.E), k * chi_phase_turns(chi, torus, C)
 
 
 def chi_eval(chi, torus, coords):

@@ -7,6 +7,10 @@ draws randomness from one seeded Generator per test via the rng
 fixture, so failures replay exactly.
 """
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -55,6 +59,15 @@ def random_torus(rng):
 
 def random_chi(rng, n=1):
     return tk.Semicharacter(tuple(rng.random(2 * n)))
+
+
+def run_cli(argv):
+    """The CLI in a fresh interpreter on this source tree, so a hang shows as
+    a timeout and a traceback as stderr text."""
+    src = os.path.dirname(os.path.dirname(tk.__file__))
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    return subprocess.run([sys.executable, "-m", "toruskernel", *argv],
+                          capture_output=True, text=True, timeout=60, env=env)
 
 
 def brute_rho(torus, chi, k, coords, radius):

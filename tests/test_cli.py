@@ -12,6 +12,8 @@ import pytest
 import toruskernel as tk
 from toruskernel.cli import build_parser, main
 
+from conftest import run_cli
+
 
 def write_config(tmp_path, name="sq1.json", **overrides):
     data = {
@@ -325,3 +327,26 @@ def test_scipy_is_not_loaded_at_run_time():
                           timeout=60, env=env)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize("vector", ["22,0", "1000000,0"])
+def test_hol_overflow_exits_2_without_traceback(tmp_path, vector):
+    """--vector 22,0 printed ode_value = nan nan and exited 0; 1000000,0 asked
+    for about 4e14 RK4 steps."""
+    cfg = write_config(tmp_path, chi_phases=[0.3, 0.1])
+    proc = run_cli(["hol", "--config", cfg, "--point", "0.25,0.5", "--vector", vector])
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("ModulusMismatch: automorphy factor")
+    assert "Traceback" not in proc.stderr and "Warning" not in proc.stderr
+    assert proc.stdout == ""
+
+
+@pytest.mark.parametrize("eta", ["1e-8", "1e-300", "1e8", "1e300"])
+def test_unbounded_cylinder_exits_2_without_traceback(eta):
+    """1e-8 and 1e-300 ran past 20 s, 1e8 ended in an _ArrayMemoryError and
+    1e300 in an OverflowError traceback."""
+    proc = run_cli(["cylinder", "--res", "1", "--eta", eta])
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("RadiusTooLarge: ")
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""

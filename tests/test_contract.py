@@ -131,7 +131,7 @@ def test_non_integral_loop_vector_is_a_validation_error(call, run):
 REMOVED_KEYWORDS = [
     (tk.rho_diag, "cap"), (tk.rho_grid, "cap"), (tk.offdiag_bound, "cap"),
     (tk.pushforward_fit, "samples"), (tk.pushforward_recover, "samples"),
-    (tk.compare_bundles, "samples"),
+    (tk.compare_bundles, "samples"), (tk.pushforward_fit, "eps"),
 ]
 
 

@@ -103,3 +103,53 @@ def test_parameter_validation():
         tk.CylinderParams(eta=0.0, alpha=0.0, k=1)
     with pytest.raises(tk.ValidationError):
         tk.CylinderParams(eta=1.0, alpha=0.0, k=0)
+
+
+def _former_poisson_cutoff(ke2):
+    """The former loop: the least xi >= 1 whose next loop weight is below 1e-16."""
+    xi = 1
+    while math.exp(-ke2 * math.pi ** 2 * (xi + 1) ** 2) >= 1e-16:
+        xi += 1
+    return xi
+
+
+def test_poisson_cutoff_is_the_former_count():
+    """The closed-form estimate, stepped to the exact count, over k*eta^2 in
+    [1e-10, 1e9], with the points where the count changes and their float
+    neighbours."""
+    from toruskernel.cylinder import _poisson_cutoff
+
+    edges = [math.log(1e16) / (math.pi ** 2 * j ** 2) for j in range(2, 40)]
+    ke2s = list(np.logspace(-10, 9, 80)) + edges
+    ke2s += [math.nextafter(e, s) for e in edges for s in (0.0, math.inf)]
+    for ke2 in ke2s:
+        assert _poisson_cutoff(ke2) == _former_poisson_cutoff(ke2), ke2
+
+
+# (eta, k, whether the direct sum answers, whether the loop sum answers)
+_UNBOUNDED = [(1e-8, 1, True, False), (1e-300, 1, False, False), (1e8, 1, False, True),
+              (1e300, 1, False, False), (1e200, 1, False, False)]
+
+
+@pytest.mark.parametrize("eta,k,direct_ok,poisson_ok", _UNBOUNDED)
+def test_cylinder_sums_do_bounded_work(eta, k, direct_ok, poisson_ok):
+    """eta = 1e-8 and 1e-300 ran past 20 s, 1e8 asked for 9.39 GiB and 1e300
+    overflowed: a sum needing more than ENUM_CAP terms, or a k*eta^2 that is
+    not a positive finite float, raises RadiusTooLarge."""
+    params = tk.CylinderParams(eta=eta, alpha=0.25, k=k)
+    for rho, ok in ((tk.rho_cyl_direct, direct_ok), (tk.rho_cyl_poisson, poisson_ok)):
+        if ok:
+            assert math.isfinite(rho(params))
+        else:
+            with pytest.raises(tk.RadiusTooLarge):
+                rho(params)
+
+
+def test_cylinder_sums_at_the_cap():
+    """The last k*eta^2 of the loop sum under ENUM_CAP still answers."""
+    from toruskernel.cylinder import _poisson_cutoff
+
+    ke2 = math.log(1e16) / (math.pi ** 2 * tk.lattice.ENUM_CAP ** 2)
+    assert _poisson_cutoff(ke2) <= tk.lattice.ENUM_CAP
+    params = tk.CylinderParams(eta=math.sqrt(ke2), alpha=0.25, k=1)
+    assert abs(tk.rho_cyl_poisson(params) - tk.rho_cyl_direct(params)) < 1e-10

@@ -218,3 +218,22 @@ def test_transport_memory_is_one_block(sq1):
     finally:
         tracemalloc.stop()
     assert peak < 2 ** 20
+
+
+@pytest.mark.parametrize("k,v,answers", [(1, (21, 0), True), (1, (22, 0), False),
+                                         (40, (3, 0), True), (50, (3, 0), False),
+                                         (1, (10 ** 6, 0), False)])
+def test_overflowing_automorphy_factor_is_modulus_mismatch(sq1, k, v, answers):
+    """At (22, 0) and at k = 50 the automorphy factor overflows and hol_ode
+    returned alpha = nan; (10^6, 0) asked for about 4e14 RK4 steps.  The
+    factor is now checked before the step count, so the raise is immediate
+    even for an explicit step count that would never finish."""
+    chi = tk.Semicharacter((0.3, 0.1))
+    p = tk.TorusPoint.from_coords(sq1, (0.25, 0.5))
+    if answers:
+        res = tk.hol_ode(sq1, chi, k, p, v)
+        assert abs(res.value - tk.hol_closed(sq1, chi, k, p, v).value) < 1e-6
+        return
+    for steps in (None, 10 ** 15):
+        with pytest.raises(tk.ModulusMismatch, match="automorphy factor"):
+            tk.hol_ode(sq1, chi, k, p, v, steps=steps)
