@@ -103,11 +103,7 @@ def _negligible(ke2, xi):
 
 
 def _poisson_cutoff(ke2):
-    """The least xi >= 1 whose next loop weight is below 1e-16: the closed-form estimate,
-    stepped to the exact count (the weights decrease in xi)."""
-    xi = max(1, math.ceil(math.sqrt(math.log(1e16) / (ke2 * math.pi ** 2))) - 1)
-    while xi > 1 and _negligible(ke2, xi):
-        xi -= 1
+    xi = 1
     while not _negligible(ke2, xi + 1):
         xi += 1
     return xi

@@ -271,28 +271,26 @@ def pushforward_fit(torus, chi, k, v1):
     """Recover the holonomy phase of the v1-loop from the density alone.
 
     The quotient circle is parameterized through a generator u with
-    E(v1, u) = g = content of the integer row (E(v1, lambda_j))_j.  Over
-    the fiber, the subtorus spanned by W, an integer kernel basis of that
-    row, loop v integrates to 0 unless A_v W = 0, so the profile is the
-    exact sum of w_v cos(2*pi*(t A_v u - chi_v)) over those loops, at
-    T = max(64, 8|k*s*g|) points, so the harmonics m*k*s*g, m <=
-    FIT_HARMONICS, are exact bins of its real FFT.  The fit is those
-    bins: the fundamental gives the phase, the measured spectral peak is
-    reported alongside, and a residual above 1e-6 of the fundamental
-    amplitude raises FitResidualTooLarge.
+    A_v1 u = lam = content of the integer row A_v1 = k*s*(E(v1, lambda_j))_j
+    of ``_holonomy_turns``.  Over the fiber, the subtorus spanned by W, an
+    integer kernel basis of that row, loop v integrates to 0 unless
+    A_v W = 0, so the profile is the exact sum of w_v cos(2*pi*(t A_v u -
+    chi_v)) over those loops, at T = max(64, 8*lam) points, so the
+    harmonics m*lam, m <= FIT_HARMONICS, are exact bins of its real FFT.
+    The fit is those bins: the fundamental gives the phase, the measured
+    spectral peak is reported alongside, and a residual above 1e-6 of the
+    fundamental amplitude raises FitResidualTooLarge.
     """
     v1 = _as_vector(torus, v1)
-    row = np.array(v1.coords, dtype=object) @ np.array(torus.E, dtype=object)
+    row = _holonomy_turns(torus, chi, k, np.array(v1.coords, dtype=object))[0]
     if all(int(x) == 0 for x in row):
         raise ValidationError("v1 pairs trivially with the lattice; no circle map")
-    g, c_u, kernel = extended_gcd_row(row)
-    lam_signed = int(_holonomy_turns(torus, chi, k, np.array(v1.coords, dtype=object))[0] @ c_u)
+    lam, c_u, kernel = extended_gcd_row(row)
 
     W = np.array(kernel, dtype=np.int64)                    # (2n, 2n-1)
     fiber_gram = W.T @ torus.gram @ W
     nu = math.sqrt(max(float(np.linalg.det(np.atleast_2d(fiber_gram))), 0.0))
 
-    lam = abs(lam_signed)
     T = max(64, 8 * lam)
     prep = _prepare(torus, chi, k, eps=1e-12)
 
@@ -302,7 +300,7 @@ def pushforward_fit(torus, chi, k, v1):
     profile = nu * (np.cos(TWO_PI * turns) @ prep.weights[keep])
 
     spectrum = np.fft.rfft(profile)
-    fundamental = 2.0 / T * complex(spectrum[lam] if lam_signed > 0 else spectrum[lam].conj())
+    fundamental = 2.0 / T * complex(spectrum[lam])
     amplitude = abs(fundamental)
     measured = int(np.argmax(np.abs(spectrum[1:]))) + 1
     fitted = np.zeros_like(spectrum)
@@ -316,7 +314,7 @@ def pushforward_fit(torus, chi, k, v1):
         )
     # reduced twice: a tiny negative angle mod 1 rounds up to exactly 1.0
     phase = (math.atan2(fundamental.imag, fundamental.real) / TWO_PI) % 1.0 % 1.0
-    return PushforwardFit(phase=phase, frequency=int(lam_signed), measured_frequency=measured,
+    return PushforwardFit(phase=phase, frequency=lam, measured_frequency=measured,
                           amplitude=amplitude, fiber_volume=nu, residual=resid / amplitude)
 
 

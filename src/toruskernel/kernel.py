@@ -149,6 +149,7 @@ class _PreparedSum:
     evaluation points in lattice coordinates."""
 
     def __init__(self, torus, chi, k, radius):
+        _check_integral(torus)      # before the enumeration, which can outgrow ENUM_CAP
         self.torus = torus
         self.radius = radius
         self.scale = (k / TWO_PI) ** torus.n

@@ -553,8 +553,13 @@ def chi_phase_turns(chi, torus, coords):
 def _holonomy_turns(torus, chi, k, C):
     """The k-th power holonomy on the loops with integer coordinates C, as (A, phi): the turn
     at lattice coordinates x is A . x - phi, A = k*s*(C E) in C's integer type and
-    phi = k*chi_phase_turns(C), so it depends on x mod 1 alone."""
-    return (k * HOL_SIGN) * (C @ torus.E), k * chi_phase_turns(chi, torus, C)
+    phi = k*chi_phase_turns(C), so it depends on x mod 1 alone.  A k that would carry an
+    int64 A past its range raises ValidationError; an object C keeps A exact."""
+    CE = C @ torus.E
+    top = max(CE.max(initial=0), -CE.min(initial=0))    # no |CE| temporary
+    if CE.dtype != object and int(k) * int(top) >= 2 ** 63:
+        raise ValidationError(f"k = {k} carries the loop coefficients k*(C E) past int64")
+    return (k * HOL_SIGN) * CE, k * chi_phase_turns(chi, torus, C)
 
 
 def chi_eval(chi, torus, coords):

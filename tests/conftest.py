@@ -61,13 +61,18 @@ def random_chi(rng, n=1):
     return tk.Semicharacter(tuple(rng.random(2 * n)))
 
 
-def run_cli(argv):
-    """The CLI in a fresh interpreter on this source tree, so a hang shows as
-    a timeout and a traceback as stderr text."""
+def run_python(args, timeout=60, cwd=None):
+    """Python with ``args`` in a fresh interpreter on this source tree, so a
+    hang shows as a timeout and a traceback as stderr text."""
     src = os.path.dirname(os.path.dirname(tk.__file__))
     env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
-    return subprocess.run([sys.executable, "-m", "toruskernel", *argv],
-                          capture_output=True, text=True, timeout=60, env=env)
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          timeout=timeout, env=env, cwd=cwd)
+
+
+def run_cli(argv):
+    """The CLI with ``argv`` through ``run_python``."""
+    return run_python(["-m", "toruskernel", *argv])
 
 
 def brute_rho(torus, chi, k, coords, radius):

@@ -2,9 +2,6 @@
 
 import json
 import math
-import os
-import subprocess
-import sys
 
 import numpy as np
 import pytest
@@ -12,7 +9,7 @@ import pytest
 import toruskernel as tk
 from toruskernel.cli import build_parser, main
 
-from conftest import run_cli
+from conftest import run_cli, run_python
 
 
 def write_config(tmp_path, name="sq1.json", **overrides):
@@ -178,11 +175,7 @@ def test_oversized_grid_exits_1_without_traceback(tmp_path, command, flags):
     """--res 100000 used to end in a MemoryError traceback; it is now
     refused against GRID_CAP before any grid is allocated."""
     cfg = write_config(tmp_path)
-    src = os.path.dirname(os.path.dirname(tk.__file__))
-    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
-    proc = subprocess.run([sys.executable, "-m", "toruskernel", command, "--config", cfg,
-                           "--res", "100000", *flags],
-                          capture_output=True, text=True, timeout=60, env=env)
+    proc = run_cli([command, "--config", cfg, "--res", "100000", *flags])
     assert proc.returncode == 1
     assert "ValidationError" in proc.stderr and "GRID_CAP" in proc.stderr
     assert "Traceback" not in proc.stderr
@@ -217,11 +210,8 @@ def test_bad_power_or_eps_exits_1_without_traceback(tmp_path, command, flags):
     cylinder).  Each subcommand gets only the flags it declares, so the
     exit comes from the bad value itself, not from an unknown flag."""
     cfg = write_config(tmp_path)
-    src = os.path.dirname(os.path.dirname(tk.__file__))
-    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
     config = [] if command == "cylinder" else ["--config", cfg]
-    proc = subprocess.run([sys.executable, "-m", "toruskernel", command, *config, *flags],
-                          capture_output=True, text=True, timeout=60, env=env)
+    proc = run_cli([command, *config, *flags])
     assert proc.returncode == 1
     assert "ValidationError" in proc.stderr
     assert "unrecognized arguments" not in proc.stderr
@@ -318,13 +308,10 @@ def test_out_into_missing_directory_is_a_validation_error(tmp_path, capsys):
 def test_scipy_is_not_loaded_at_run_time():
     """scipy is a test dependency only: importing the package and
     refining extrema leave it out of sys.modules."""
-    src = os.path.dirname(os.path.dirname(tk.__file__))
-    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
     code = ("import sys, toruskernel as tk; "
             "tk.find_extrema(tk.standard_torus(1j, 1), tk.Semicharacter.trivial(1), 1, 16); "
             "print('scipy' in sys.modules)")
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          timeout=60, env=env)
+    proc = run_python(["-c", code])
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
 

@@ -105,27 +105,6 @@ def test_parameter_validation():
         tk.CylinderParams(eta=1.0, alpha=0.0, k=0)
 
 
-def _former_poisson_cutoff(ke2):
-    """The former loop: the least xi >= 1 whose next loop weight is below 1e-16."""
-    xi = 1
-    while math.exp(-ke2 * math.pi ** 2 * (xi + 1) ** 2) >= 1e-16:
-        xi += 1
-    return xi
-
-
-def test_poisson_cutoff_is_the_former_count():
-    """The closed-form estimate, stepped to the exact count, over k*eta^2 in
-    [1e-10, 1e9], with the points where the count changes and their float
-    neighbours."""
-    from toruskernel.cylinder import _poisson_cutoff
-
-    edges = [math.log(1e16) / (math.pi ** 2 * j ** 2) for j in range(2, 40)]
-    ke2s = list(np.logspace(-10, 9, 80)) + edges
-    ke2s += [math.nextafter(e, s) for e in edges for s in (0.0, math.inf)]
-    for ke2 in ke2s:
-        assert _poisson_cutoff(ke2) == _former_poisson_cutoff(ke2), ke2
-
-
 # (eta, k, whether the direct sum answers, whether the loop sum answers)
 _UNBOUNDED = [(1e-8, 1, True, False), (1e-300, 1, False, False), (1e8, 1, False, True),
               (1e300, 1, False, False), (1e200, 1, False, False)]

@@ -1,23 +1,17 @@
 """Every script under demos/ runs to completion in a fresh interpreter."""
 
-import os
 import pathlib
-import subprocess
-import sys
 
 import pytest
 
-import toruskernel as tk
+from conftest import run_python
 
 DEMOS = sorted((pathlib.Path(__file__).resolve().parent.parent / "demos").glob("*.py"))
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.name for d in DEMOS])
 def test_demo_runs(tmp_path, demo):
-    src = os.path.dirname(os.path.dirname(tk.__file__))
-    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
-    proc = subprocess.run([sys.executable, str(demo)], capture_output=True, text=True,
-                          timeout=120, env=env, cwd=tmp_path)
+    proc = run_python([str(demo)], timeout=120, cwd=tmp_path)
     assert proc.returncode == 0, proc.stderr
     assert "Traceback" not in proc.stderr
     assert proc.stdout

@@ -124,6 +124,28 @@ def test_hol_closed_matches_the_im_h_pairing(torus):
         assert A.dtype == np.int64 and got.alpha == (float(A @ np.array(p.coords)) - phi) % 1.0
 
 
+@pytest.mark.parametrize("k,v", [(2 ** 63, (1, 0)), (2 ** 62, (2, 0)), (2 ** 70, (1, 1))])
+def test_holonomy_turns_refuse_an_int64_overflow(k, v):
+    """k = 2**63 ended in a bare OverflowError, and k*(C E) = 2**63 at
+    k = 2**62 wrapped round silently; one below the range still answers."""
+    p = tk.TorusPoint.from_coords(SQ1, (0.25, 0.5))
+    with pytest.raises(tk.ValidationError, match="past int64"):
+        tk.hol_closed(SQ1, CHI, k, p, v)
+    if k >= 2 ** 63:
+        with pytest.raises(tk.ValidationError, match="past int64"):
+            tk.rho_diag(SQ1, CHI, k, p)
+    assert 0.0 <= tk.hol_closed(SQ1, CHI, 2 ** 62, p, (1, 0)).alpha < 1.0
+
+
+@pytest.mark.parametrize("command", [["hol", "--vector", "1,0"], ["rho"]])
+def test_int64_overflowing_k_exits_1_without_traceback(tmp_path, command):
+    cfg = _config(tmp_path, [[1, 0], [0, 1]], 1)
+    proc = run_cli([*command, "--config", cfg, "--point", "0.25,0.5", "--k", str(2 ** 63)])
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("ValidationError: ") and "Traceback" not in proc.stderr
+    assert proc.stdout == ""
+
+
 def test_holonomy_turns_keep_exact_integers_for_object_rows():
     C = np.array([[1, 0], [10 ** 6, -3]], dtype=object)
     A, _ = _holonomy_turns(SKEW, CHI, 10 ** 12, C)
@@ -234,8 +256,18 @@ def test_non_integral_torus_is_rejected_where_the_cocycle_is_read():
             call()
 
 
+@pytest.mark.parametrize("rho,where", [(tk.rho_diag, (0.25, 0.5)), (tk.rho_grid, 4)],
+                         ids=["rho_diag", "rho_grid"])
+def test_non_integral_torus_is_rejected_before_the_enumeration(rho, where):
+    """About 1.1M lattice points lie within radius 2000, above ENUM_CAP: the
+    integrality check comes first, so the error names the torus, not the radius."""
+    with pytest.raises(tk.IntegralityViolation):
+        rho(NON_INTEGRAL, CHI, 1, where, radius=2000)
+
+
 @pytest.mark.parametrize("flags", [["hol", "--point", "0.25,0.5", "--vector", "1,0"],
-                                   ["offdiag", "--point", "0,0", "--point2", "0.5,0.5"]])
+                                   ["offdiag", "--point", "0,0", "--point2", "0.5,0.5"],
+                                   ["rho", "--point", "0.25,0.5", "--radius", "2000"]])
 def test_non_integral_torus_exits_1_without_traceback(tmp_path, flags):
     cfg = _config(tmp_path, [[1, 0], [0.3, 1.2]], 0.75)
     proc = run_cli([flags[0], "--config", cfg, *flags[1:]])
