@@ -19,7 +19,7 @@ circle) and m_k = frac(k*alpha):
     direct:   rho(t) = sqrt(k/pi)/(2*pi*eta) * sum_a exp(-(a - a*)^2/(k*eta^2)),
               a over Z,  a* = m_k + k*eta^2*t,
     poisson:  rho(t) = (k/2pi) * (1 + 2*sum_{xi>=1} exp(-k*eta^2*pi^2*xi^2)
-                                   * cos(2*pi*xi*m_k + 2*k*eta^2*pi*xi*t)).
+                                   * cos(2*pi*xi*a*)).
 
 The direct sum is evaluated in completed-square form (above) for
 stability; it equals the textbook form
@@ -43,7 +43,10 @@ TWO_PI = 2.0 * math.pi
 @dataclass(frozen=True)
 class CylinderParams:
     """Cylinder radius eta > 0, flat twist alpha in [0, 1), power k >= 1,
-    evaluation coordinate t; n allows padding by flat transverse factors."""
+    evaluation coordinate t; n allows padding by flat transverse factors.
+    Both sums are 1-periodic in a* = m_k + k*eta^2*t and read ``astar`` = a* mod 1 (past
+    k*eta^2*t = 2^53, the density at the float a*).  A k past the floats, or a non-finite a*
+    from a finite k*eta^2, raises ValidationError."""
 
     eta: float
     alpha: float
@@ -51,6 +54,7 @@ class CylinderParams:
     t: float = 0.0
     n: int = 1
     m_k: float = field(init=False)
+    astar: float = field(init=False)
 
     def __post_init__(self):
         check_finite((self.eta, self.alpha, self.t), "eta, alpha and t")
@@ -60,8 +64,16 @@ class CylinderParams:
             raise ValidationError("alpha must lie in [0, 1)")
         check_count(self.k, 1, "k")
         check_count(self.n, 1, "n")
-        ka = self.k * self.alpha
+        try:
+            ka = self.k * self.alpha
+        except OverflowError:
+            raise ValidationError("k is too large for a float") from None
         object.__setattr__(self, "m_k", ka - math.floor(ka))
+        ke2 = self.k * self.eta * self.eta      # inf past the floats, where the sums raise
+        astar = self.m_k + ke2 * self.t
+        if math.isfinite(ke2) and not math.isfinite(astar):
+            raise ValidationError(f"a* = m_k + k*eta^2*t = {astar!r} is not finite")
+        object.__setattr__(self, "astar", astar % 1.0 % 1.0)    # twice: -1e-20 % 1.0 is 1.0
 
 
 def norm_integral_Ia(params, a):
@@ -88,7 +100,7 @@ def _ke2(params):
 def rho_cyl_direct(params):
     """Density at t by direct summation over monomial sections, at most ENUM_CAP of them."""
     ke2 = _ke2(params)
-    astar = params.m_k + ke2 * params.t
+    astar = params.astar
     width = int(math.ceil(6.3 * math.sqrt(ke2))) + 2    # terms exp(-j^2/ke2) below ~1e-17 beyond
     if 2 * width + 1 > ENUM_CAP:
         raise RadiusTooLarge(f"the direct sum needs {2 * width + 1} terms, above ENUM_CAP")
@@ -117,7 +129,7 @@ def rho_cyl_poisson(params):
     top = _poisson_cutoff(ke2)
     xi = np.arange(1, top + 1, dtype=float)
     weights = np.exp(-ke2 * math.pi ** 2 * xi ** 2)
-    phases = TWO_PI * xi * params.m_k + 2.0 * ke2 * math.pi * xi * params.t
+    phases = TWO_PI * xi * params.astar
     return params.k / TWO_PI * (1.0 + 2.0 * float(weights @ np.cos(phases)))
 
 
@@ -133,9 +145,8 @@ def rho_cyl_nd(params):
 
 def cyl_holonomy_phase(params, xi):
     """Holonomy of the xi-fold loop in the twisted model at coordinate t:
-    exp(-i*(2*pi*xi*m_k + 2*k*eta^2*pi*xi*t)).  Its real part is the
-    cosine entering the loop expansion; the xi-th loop has length
+    exp(-i*(2*pi*xi*m_k + 2*k*eta^2*pi*xi*t)) = exp(-2*pi*i*xi*a*).  Its real
+    part is the cosine entering the loop expansion; the xi-th loop has length
     2*pi*eta*|xi|, so exp(-(k/4)*ell^2) = exp(-k*eta^2*pi^2*xi^2)."""
-    ke2 = params.k * params.eta ** 2
-    ang = TWO_PI * xi * params.m_k + 2.0 * ke2 * math.pi * xi * params.t
+    ang = TWO_PI * xi * params.astar
     return complex(math.cos(ang), -math.sin(ang))

@@ -11,8 +11,8 @@ Three capabilities built on the loop sum and on the k-th power holonomy
   vectors span, a flagged family otherwise).
 
 * ``find_extrema`` locates density extrema by grid scan and damped
-  Newton refinement on the analytic gradient and Hessian, all tied cells
-  of both kinds in one batch, each row as if alone, then reports
+  Newton refinement on the analytic gradient and Hessian, one tied cell
+  per class of translates under (kE)^-1 Z^2n, then reports
   the distance to the nearest holonomy-congruence prediction: maxima
   track holonomy +1 on the first shell, minima holonomy -1, and the
   agreement sharpens like exp((k/4)(l1^2 - l2^2)) as k grows, which
@@ -38,8 +38,9 @@ import numpy as np
 
 from .errors import FitResidualTooLarge, InconsistentSystem, ValidationError, check_count
 from .intlin import extended_gcd_row, smith_normal_form
-from .kernel import DEFAULT_EPS, _check_grid, _grid_values, _prepare
-from .lattice import TWO_PI, TorusPoint, _as_vector, _holonomy_turns, _nearest_distance, shells
+from .kernel import DEFAULT_EPS, _check_grid, _check_power, _grid_values, _prepare
+from .lattice import (ENUM_CAP, TWO_PI, TorusPoint, _as_vector, _holonomy_turns,
+                      _nearest_distance, shells)
 
 REFINE_ITERS = 64      # damped Newton steps per extremum candidate
 FIT_HARMONICS = 4      # loop-frequency harmonics fitted to a pushforward profile
@@ -68,48 +69,63 @@ def solve_holonomy(torus, chi, target, mesh=8):
     Solves A_j . x = arg(t_j)/2pi + phi_j (mod 1), (A, phi) = ``_holonomy_turns``,
     by Smith normal form over the integers.  Dependent vectors with
     incompatible targets raise InconsistentSystem; when the vectors do
-    not span, the solution family is sampled on a mesh and flagged.
+    not span, the solution family is sampled on a mesh and flagged.  A
+    set of more than ``lattice.ENUM_CAP`` points raises ValidationError.
 
     The solutions are built as one coordinate array: the meshgrid Y of
     the choices (w_i mod 1 + j)/d_i on each pinned Smith row and j/mesh
     on each free direction, mapped back by X = (Y V^T) mod 1.  TorusPoints
     are made only for the sorted, distinct rows of X, by one matmul.
     """
-    k = target.k
-    check_count(k, 1, "k")
+    check_count(target.k, 1, "k")
     check_count(mesh, 1, "mesh")
     vecs = [_as_vector(torus, v) for v in target.vectors]
     m = len(vecs)
     if len(target.targets) != m:
         raise ValidationError(f"{m} vectors need {m} holonomy targets, got {len(target.targets)}")
-    two_n = 2 * torus.n
+    return _solve_holonomy(torus, chi, target.k, vecs, [target.targets], mesh)[0][0]
+
+
+def _solve_holonomy(torus, chi, k, vecs, target_sets, mesh):
+    """``solve_holonomy`` for each tuple in ``target_sets``, as (HolonomySolutions, coordinate
+    rows), from one Smith form and one array sorted with the tuple as primary key.  A set of
+    prod d_i * mesh^(2n - rank) > ENUM_CAP points, counted in integers, raises ValidationError."""
+    m, two_n = len(vecs), 2 * torus.n
     C = np.array([v.coords for v in vecs], dtype=object).reshape(m, two_n)
     M, phi = _holonomy_turns(torus, chi, k, C)
-    b = np.empty(m)
-    for j, t in enumerate(target.targets):
-        t = complex(t)
-        if abs(abs(t) - 1.0) > 1e-6:
-            raise ValidationError(f"holonomy target {t!r} is not on the unit circle")
-        b[j] = (math.atan2(t.imag, t.real) / TWO_PI + phi[j]) % 1.0
-
     U, D, V = smith_normal_form(M)
     rank = sum(1 for i in range(min(m, two_n)) if D[i, i] != 0)
-    w = np.array(U, dtype=float) @ b
-    for i in range(rank, m):
-        frac = abs(w[i] - round(w[i]))
-        if frac > 1e-9:
-            raise InconsistentSystem(f"row {i}: dependent holonomy constraint off by {frac:.3e}")
-
-    choices = [((w[i] % 1.0 + np.arange(int(D[i, i]))) / int(D[i, i])) % 1.0
-               for i in range(rank)]
-    choices += [np.arange(mesh) / mesh] * (two_n - rank)
-    Y = np.stack(np.meshgrid(*choices, indexing="ij"), axis=-1).reshape(-1, two_n)
+    W = []
+    for targets in target_sets:
+        b = np.empty(m)
+        for j, t in enumerate(targets):
+            t = complex(t)
+            if abs(abs(t) - 1.0) > 1e-6:
+                raise ValidationError(f"holonomy target {t!r} is not on the unit circle")
+            b[j] = (math.atan2(t.imag, t.real) / TWO_PI + phi[j]) % 1.0
+        w = np.array(U, dtype=float) @ b
+        for i in range(rank, m):
+            frac = abs(w[i] - round(w[i]))
+            if frac > 1e-9:
+                raise InconsistentSystem(f"row {i}: dependent holonomy constraint off by {frac:.3e}")
+        W.append(w[:rank] % 1.0)
+    d = [int(D[i, i]) for i in range(rank)]
+    if (count := math.prod(d) * mesh ** (two_n - rank)) > ENUM_CAP:
+        raise ValidationError(f"{count} holonomy solutions, above ENUM_CAP = {ENUM_CAP}")
+    G = np.indices((len(W), *d, *[mesh] * (two_n - rank))).reshape(two_n + 1, -1)
+    s, W = G[0], np.array(W).reshape(len(W), rank)
+    Y = np.column_stack([((W[s, i] + G[1 + i]) / d[i]) % 1.0 for i in range(rank)]
+                        + [G[1 + i] / mesh for i in range(rank, two_n)])
     X = _round12((Y @ np.array(V, dtype=float).T) % 1.0) % 1.0
-    X = X[np.lexsort(X.T[::-1])]
-    X = X[np.r_[True, np.any(X[1:] != X[:-1], axis=1)]]
+    order = np.lexsort((*X.T[::-1], s))
+    X, s = X[order], s[order]
+    keep = np.r_[True, np.any(X[1:] != X[:-1], axis=1) | (s[1:] != s[:-1])]
+    X, s = X[keep], s[keep]
     points = TorusPoint._from_coord_rows(torus, X)
     free = tuple(tuple(int(V[j, i]) for j in range(two_n)) for i in range(rank, two_n))
-    return HolonomySolutions(points=points, underdetermined=rank < two_n, free_directions=free)
+    ends = np.searchsorted(s, np.arange(len(W) + 1)).tolist()
+    return [(HolonomySolutions(points[a:b], rank < two_n, free), X[a:b])
+            for a, b in zip(ends, ends[1:])]
 
 
 def _round12(X):
@@ -142,7 +158,7 @@ def _independent_first_shell(sh):
     chosen = []
     for v in sh.S1:
         rows = np.array([u.coords for u in chosen] + [v.coords], dtype=float)
-        if np.linalg.matrix_rank(rows) > len(chosen):
+        if len(chosen) < len(v.coords) and np.linalg.matrix_rank(rows) > len(chosen):
             chosen.append(v)
     return tuple(chosen)
 
@@ -157,82 +173,109 @@ def _newton_steps(H, G):
         return np.concatenate([_newton_steps(H[i:i + 1], G[i:i + 1]) for i in range(len(G))])
 
 
-def _refine(prep, X, sgn):
+def _refine(prep, X, sgn, cells=0):
     """Damped Newton ascent on f = sgn*rho (sgn = +1 seeks a maximum, -1 a minimum) from every
     row of X at once, each row stepping as if alone.  The step solves H s = -g; when H is
     singular or s does not point uphill (g.s <= 0), it is g scaled to the cap, since on a flat
     landscape g itself is too short to change f in floating point.  A step is capped at max-norm
     0.25 and halved until f strictly improves; a row stops when no step down to 2^-50 improves,
-    or after REFINE_ITERS steps.  Returns the rows reduced mod 1 and their densities."""
+    or after REFINE_ITERS steps; the halvings of failed full steps are tried at once, max(len(X),
+    cells // terms) points a call, and accepted points keep their cosines for the Hessian."""
     X = np.array(X, dtype=float)
-    F = sgn * prep.density(X)
+    F, cos = prep._level(X)
+    F *= sgn
+    chunk = max(1, len(X), cells // prep.terms)
     live = np.arange(len(X))
     for _ in range(REFINE_ITERS):
+        if not live.size:
+            break
         G = sgn[live, None] * prep.gradient(X[live])
         g_max = np.max(np.abs(G), axis=1)
         live, G, g_max = live[g_max > 0.0], G[g_max > 0.0], g_max[g_max > 0.0]
         if not live.size:
             break
-        step = _newton_steps(sgn[live, None, None] * prep.hessian(X[live]), G)
+        step = _newton_steps(sgn[live, None, None] * prep._curvature(cos[live]), G)
         uphill = (G[:, None, :] @ step[:, :, None])[:, 0, 0] > 0.0     # g @ step, row by row
         step = np.where(uphill[:, None], step, G / g_max[:, None])
         step *= (0.25 / np.maximum(np.max(np.abs(step), axis=1), 0.25))[:, None]
         moved = np.zeros(len(live), dtype=bool)
-        search = np.flatnonzero(np.max(np.abs(step), axis=1) >= 2.0 ** -50)
-        while search.size:
-            rows = live[search]
-            f = sgn[rows] * prep.density(X[rows] + step[search])
-            up = f > F[rows]
-            X[rows[up]] += step[search[up]]
-            F[rows[up]] = f[up]
-            moved[search[up]] = True
-            search = search[~up]
-            step[search] *= 0.5
-            search = search[np.max(np.abs(step[search]), axis=1) >= 2.0 ** -50]
+        full = np.flatnonzero(np.max(np.abs(step), axis=1) >= 2.0 ** -50)
+        moved[full] = _accept(prep, X, F, cos, sgn, live[full], step[full])
+        failed = full[~moved[full]]
+        if failed.size:
+            # halvings 1..48 of a step of max-norm <= 2^-2, by repeated *0.5 as one at a time
+            halves = np.multiply.accumulate(np.concatenate(
+                [step[None, failed], np.full((48, len(failed), step.shape[1]), 0.5)]))
+            row, j = np.nonzero(np.max(np.abs(halves[1:]), axis=2).T >= 2.0 ** -50)
+            rows, steps = live[failed[row]], halves[1 + j, row]
+            f = np.empty(len(rows))
+            for i in range(0, len(rows), chunk):
+                f[i:i + chunk] = prep.density(X[rows[i:i + chunk]] + steps[i:i + chunk])
+            gain = np.flatnonzero(sgn[rows] * f > F[rows])
+            gain = gain[np.unique(row[gain], return_index=True)[1]]     # the first of each row
+            moved[failed[row[gain]]] = _accept(prep, X, F, cos, sgn, rows[gain], steps[gain])
         live = live[moved]
     return X % 1.0, sgn * F
+
+
+def _accept(prep, X, F, cos, sgn, rows, steps):
+    """Move distinct ``rows`` of X by their steps where sgn*rho rises above F; returns which."""
+    x = X[rows] + steps
+    f, c = prep._level(x)
+    f *= sgn[rows]
+    up = f > F[rows]
+    X[rows[up]], F[rows[up]], cos[rows[up]] = x[up], f[up], c[up]
+    return up
 
 
 def find_extrema(torus, chi, k, resolution=32, eps=1e-12):
     """Global density extrema with holonomy-congruence predictions.
 
-    Returns (max_report, min_report).  All grid cells within 1e-9 of the
-    grid optimum are refined and reported, so exact multiplicity (as in
-    the even-pairing case, where several half-period points tie) is
-    preserved.  The tied cells of both kinds are refined together, in
-    blocks whose (rows, terms) arrays are no larger than the grid.
+    Returns (max_report, min_report).  All grid cells within 1e-9 of the grid optimum are
+    tied and reported, so exact multiplicity is preserved.  The density is invariant under
+    translation by (kE)^-1 Z^2n, so tied cells J, J' of one kind with kEJ = kEJ' mod r are
+    translates: one cell per class is refined, in blocks whose (rows, terms) arrays are no
+    larger than the grid, and the others take its point plus (J' - J)/r and its value.  Both
+    prediction sets come from one solve, before the grid scan, and one distance search.
     """
+    _check_power(k, eps)
     _check_grid(torus, resolution, 16)
+    sh = shells(torus)
+    indep = _independent_first_shell(sh)
+    predicted = _solve_holonomy(torus, chi, k, indep, [(s,) * len(indep) for s in (1.0, -1.0)], 8)
     prep = _prepare(torus, chi, k, eps=eps)
     values = _grid_values(prep, resolution)
-    sh = shells(torus)
     window = math.exp(0.25 * k * (sh.l1 ** 2 - sh.l2 ** 2))
-    indep = _independent_first_shell(sh)
 
     ties = [np.argwhere(np.abs(values - best) <= 1e-9) for best in (values.max(), values.min())]
-    X0 = np.concatenate(ties) / resolution
-    sgn = np.repeat([1.0, -1.0], [len(t) for t in ties])
+    J, kind = np.concatenate(ties), np.repeat([0, 1], [len(t) for t in ties])
+    r = resolution
+    kEJ = np.mod(J @ np.mod(np.mod(k, r) * np.mod(torus.E, r), r).T, r)    # no int64 overflow
+    key = np.ravel_multi_index(tuple(kEJ.T), values.shape) + kind * values.size
+    _, first, cls = np.unique(key, return_index=True, return_inverse=True)
+    X0, sgn = J[first] / r, 1.0 - 2.0 * kind[first]
     block = max(1, values.size // prep.terms)
-    parts = [_refine(prep, X0[i:i + block], sgn[i:i + block]) for i in range(0, len(X0), block)]
+    parts = [_refine(prep, X0[i:i + block], sgn[i:i + block], values.size)
+             for i in range(0, len(X0), block)]
     X, F = (np.concatenate(a) for a in zip(*parts))
-    reports = {}
-    for kind, hol, rows in (("max", 1.0, sgn > 0), ("min", -1.0, sgn < 0)):
-        opt = float(np.max(F[rows]) if kind == "max" else np.min(F[rows]))
+    X, F = (X[cls] + (J - J[first[cls]]) / r) % 1.0, F[cls]
+
+    located = []
+    for rows, pick in ((kind == 0, np.max), (kind == 1, np.min)):
+        opt = float(pick(F[rows]))
         locs = X[rows][np.abs(F[rows] - opt) <= 1e-9]
         locs = locs[np.lexsort(locs.T[::-1])]
         dedup = locs[:1]
         for x in locs[1:]:
             if np.min(np.max(np.abs((x - dedup + 0.5) % 1.0 - 0.5), axis=1)) >= 1e-6:
                 dedup = np.vstack([dedup, x])
-        points = TorusPoint._from_coord_rows(torus, dedup)
-        sol = solve_holonomy(torus, chi, HolonomyTarget(
-            vectors=indep, targets=(complex(hol),) * len(indep), k=k))
-        dist = _nearest_distance(torus, points[0], sol.points)
-        reports[kind] = ExtremumReport(
-            kind=kind, location=points[0], value=opt, predicted=sol.points,
-            distance=float(dist), tied_locations=points, window=window,
-        )
-    return reports["max"], reports["min"]
+        located.append((opt, TorusPoint._from_coord_rows(torus, dedup)))
+    dists = _nearest_distance(torus, [(pts[0].coords, Q)
+                                      for (_, pts), (_, Q) in zip(located, predicted)])
+    return tuple(
+        ExtremumReport(kind=kind, location=pts[0], value=opt, predicted=sol.points, distance=dist,
+                       tied_locations=pts, window=window)
+        for kind, (opt, pts), (sol, _), dist in zip(("max", "min"), located, predicted, dists))
 
 
 @dataclass(frozen=True)

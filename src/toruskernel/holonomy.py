@@ -147,8 +147,3 @@ def hol_closed(torus, chi, k, p, v):
     value = complex(np.exp(2j * math.pi * turns))
     return HolonomyResult(value=value, alpha=float(turns % 1.0), method="closed_form")
 
-
-def alpha_series_coeff(torus, chi, k, p, v):
-    """cos(2*pi*k*alpha_v(p)), the coefficient the loop contributes to
-    the density series at power k."""
-    return math.cos(2.0 * math.pi * hol_closed(torus, chi, k, p, v).alpha)

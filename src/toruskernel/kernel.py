@@ -23,6 +23,8 @@ On the grid j/r, j in (Z/r)^(2n), only A_v mod r of each integer
 frequency A_v = k*s*E(v, .) matters, so a whole grid is one scatter of
 w_v exp(-2*pi*i*chi_v) into bin A_v mod r plus one inverse FFT, with the
 phases A_v . j reduced in integers: O(terms + r^(2n) log r), exact at any k.
+As +-v have conjugate coefficients, only bins with last index <= r/2 are
+scattered, into a half spectrum (r,)*(2n-1) + (r//2 + 1,), for a real FFT.
 
 The truncation-radius policy (grow-then-bisect to the minimal R with
 tail_bound(R, k) <= eps) is a choice of this module.  Every sum is
@@ -96,15 +98,15 @@ def tail_bound(torus, R, k):
     return _tail_sum(R, k, l1, 2 * torus.n)
 
 
-def _tail_sum(R, k, l1, two_n):
-    """The sum behind ``tail_bound``, unchecked."""
+def _tail_sum(R, k, l1, two_n, stop=math.inf):
+    """The sum behind ``tail_bound``, unchecked, returned early once it passes ``stop``."""
     total, prev, j = 0.0, math.inf, 0
     while True:
         term = math.exp(-0.25 * k * (R + j) ** 2) * (1.0 + 2.0 * (R + j + 1) / l1) ** two_n
         if term < prev and term < 0.5 * math.ulp(total):
             return total
         total += term
-        if term < 1e-300:
+        if term < 1e-300 or total > stop:
             return total
         prev, j = term, j + 1
 
@@ -127,18 +129,18 @@ def _bisect_radius(torus, k, eps):
     """Grow-then-bisect search behind ``truncation_radius``."""
     l1, two_n = _l1(torus), 2 * torus.n
     lo = hi = l1
-    if _tail_sum(l1, k, l1, two_n) <= eps:
+    if _tail_sum(l1, k, l1, two_n, eps) <= eps:     # terms are positive: a sum past eps stays so
         return l1
     for _ in range(400):
         hi *= 1.25
-        if _tail_sum(hi, k, l1, two_n) <= eps:
+        if _tail_sum(hi, k, l1, two_n, eps) <= eps:
             break
         lo = hi
     else:
         raise NumericError(f"no truncation radius reaches eps = {eps:g}")
     for _ in range(80):
         mid = 0.5 * (lo + hi)
-        lo, hi = (lo, mid) if _tail_sum(mid, k, l1, two_n) <= eps else (mid, hi)
+        lo, hi = (lo, mid) if _tail_sum(mid, k, l1, two_n, eps) <= eps else (mid, hi)
         if hi - lo <= 1e-9 * hi:
             break
     return hi
@@ -163,10 +165,14 @@ class _PreparedSum:
     def _turns(self, coords):
         return _rowwise(np.asarray(coords, dtype=float), self._Af.T) - self.chi_turns
 
+    def _level(self, coords):
+        """Densities at coords of shape (m, 2n), and the cosines they are summed from."""
+        cosines = np.cos(TWO_PI * self._turns(coords))
+        return self.scale * (1.0 + _rowwise(cosines, self.weights[:, None])[..., 0]), cosines
+
     def density(self, coords):
         """scale * (1 + sum_v w_v cos(2*pi*turn_v(x))) for coords of shape (..., 2n)."""
-        turns = self._turns(np.atleast_2d(coords))
-        out = self.scale * (1.0 + _rowwise(np.cos(TWO_PI * turns), self.weights[:, None])[..., 0])
+        out = self._level(np.atleast_2d(coords))[0]
         return out if np.asarray(coords).ndim > 1 else float(out[0])
 
     def gradient(self, coords):
@@ -174,8 +180,13 @@ class _PreparedSum:
         return -TWO_PI * self.scale * _rowwise(self.weights * np.sin(TWO_PI * turns), self._Af)
 
     def hessian(self, coords):
-        w = self.weights * np.cos(TWO_PI * self._turns(coords))
-        return -(TWO_PI ** 2) * self.scale * (w[..., None, :] * self._Af.T) @ self._Af
+        return self._curvature(np.cos(TWO_PI * self._turns(coords)))
+
+    def _curvature(self, cosines):
+        """The Hessian from ``_level`` cosines: a row product with the outer products A_v A_v^T."""
+        outer = (self._Af[:, :, None] * self._Af[:, None, :]).reshape(self.terms, -1)
+        h = -(TWO_PI ** 2) * self.scale * _rowwise(self.weights * cosines, outer)
+        return h.reshape(h.shape[:-1] + self._Af.shape[1:] * 2)
 
 
 def _rowwise(a, B):
@@ -237,11 +248,13 @@ def _grid_mean(prep, resolution):
 
 def _grid_values(prep, resolution):
     """Density on the grid j/r by one scatter of w_v exp(-2*pi*i*chi_v)
-    into bin A_v mod r and one inverse FFT (see the module docstring)."""
-    spectrum = np.zeros((resolution,) * (2 * prep.torus.n), dtype=complex)
-    bins = tuple(np.mod(prep.A, resolution).T)
-    np.add.at(spectrum, bins, prep.weights * np.exp(-2j * np.pi * np.mod(prep.chi_turns, 1.0)))
-    return prep.scale * (1.0 + spectrum.size * np.fft.ifftn(spectrum).real)
+    into the half spectrum and one real inverse FFT (see the module docstring)."""
+    r, m = resolution, 2 * prep.torus.n
+    half = np.mod(prep.A[:, -1], r) <= r // 2
+    spectrum = np.zeros((r,) * (m - 1) + (r // 2 + 1,), dtype=complex)
+    coeffs = prep.weights[half] * np.exp(-2j * np.pi * np.mod(prep.chi_turns[half], 1.0))
+    np.add.at(spectrum, tuple(np.mod(prep.A[half], r).T), coeffs)
+    return prep.scale * (1.0 + r ** m * np.fft.irfftn(spectrum, s=(r,) * m, axes=tuple(range(m))))
 
 
 @dataclass(frozen=True, eq=False)

@@ -496,13 +496,19 @@ def enumerate_shifted(torus, shift, radius, cap=ENUM_CAP):
     return coords, (coords + off) @ torus.basis, lengths
 
 
+def _short_vectors(torus):
+    """``_enumerate_sorted`` within 2*sqrt(min diag G)*(1 + 1e-9), once per torus: as
+    l1 <= sqrt(min diag G), it holds l1 and every length ``shells`` reads."""
+    memo = _derived(torus)
+    if "short" not in memo:
+        start = math.sqrt(float(np.min(np.diag(torus.gram))))
+        memo["short"] = _enumerate_sorted(torus, 2.0 * start * (1.0 + 1e-9))
+    return memo["short"]
+
+
 def _l1(torus):
     """Shortest loop length, computed once per torus."""
-    memo = _derived(torus)
-    if "l1" not in memo:
-        start = math.sqrt(float(np.min(np.diag(torus.gram))))
-        memo["l1"] = float(_enumerate_sorted(torus, start * (1.0 + 1e-12))[1][0])
-    return memo["l1"]
+    return float(_short_vectors(torus)[1][0])
 
 
 def shells(torus):
@@ -510,19 +516,14 @@ def shells(torus):
 
     Returns Shells(l1, l2, S1) where S1 lists every lattice vector of
     length within l1 * (1 + TOL_SHELL), and l2 is the smallest length
-    strictly beyond that band.  When the first shell has exactly twice
-    as many vectors as its real span's dimension, each member is checked
-    to be primitive.
+    strictly beyond that band.
     """
-    l1 = _l1(torus)
-    coords, lengths = _enumerate_sorted(torus, 2.0 * l1 * (1.0 + 1e-9))
+    coords, lengths = _short_vectors(torus)
+    l1 = float(lengths[0])
+    top = int(np.searchsorted(lengths, 2.0 * l1 * (1.0 + 1e-9), side="right"))
     inner = int(np.searchsorted(lengths, l1 * (1.0 + TOL_SHELL), side="right"))
     S1 = _lattice_vectors(torus, coords[:inner], lengths[:inner])
-    l2 = float(lengths[inner]) if inner < len(lengths) else 2.0 * l1
-    if len(S1) == 2 * np.linalg.matrix_rank(coords[:inner].astype(float)):
-        for v in S1:
-            if math.gcd(*[abs(c) for c in v.coords]) != 1:
-                raise AssertionError(f"first-shell vector {v.coords} is imprimitive")
+    l2 = float(lengths[inner]) if inner < top else 2.0 * l1
     return Shells(l1=l1, l2=l2, S1=S1)
 
 
@@ -560,13 +561,6 @@ def _holonomy_turns(torus, chi, k, C):
     if CE.dtype != object and int(k) * int(top) >= 2 ** 63:
         raise ValidationError(f"k = {k} carries the loop coefficients k*(C E) past int64")
     return (k * HOL_SIGN) * CE, k * chi_phase_turns(chi, torus, C)
-
-
-def chi_eval(chi, torus, coords):
-    """Value of the semicharacter on integer coordinates."""
-    # reduce turns mod 1 first: exp at multi-turn arguments sheds accuracy
-    turns = np.asarray(chi_phase_turns(chi, torus, coords)) % 1.0
-    return np.exp(2j * math.pi * turns) if turns.ndim else complex(np.exp(2j * math.pi * turns))
 
 
 def automorphy_factor(torus, chi, k, coords, z):
@@ -614,48 +608,19 @@ def product_torus(a, b):
     return PolarizedTorus(n=n, basis=basis, H=H)
 
 
-def torus_distance(torus, p, q):
-    """Geodesic distance between two torus points, by translate search."""
-    return _nearest_distance(torus, p, [q])
-
-
-def _nearest_distance(torus, p, targets):
-    """Geodesic distance from p to the nearest of the torus points
-    ``targets``, by one translate search over all of them.
-
-    Distances are measured from the reduced coordinates: the search
-    covers every lattice translate, so only each offset q - p mod Z^2n
-    matters.  The shortest wrapped offset bounds the answer from above,
-    so one search of that radius around every offset finds it.
-    """
-    offs = np.array([q.coords for q in targets]) - np.array(p.coords)
+def _nearest_distance(torus, pairs):
+    """For each (x, Q) in ``pairs`` (lattice coordinates of a point and m targets), the
+    geodesic distance from x to the nearest row of Q, by one translate search over every
+    offset Q - x; the largest of the pairs' shortest wrapped offsets reaches every answer."""
+    offs = [np.asarray(Q, dtype=float) - np.asarray(x, dtype=float) for x, Q in pairs]
+    starts = np.cumsum([0] + [len(o) for o in offs[:-1]])
+    offs = np.concatenate(offs)
     wrapped = offs - np.rint(offs)
-    shortest = float(np.min(np.einsum("ti,ij,tj->t", wrapped, torus.gram, wrapped)))
-    reach = math.sqrt(max(shortest, 0.0)) * (1.0 + 1e-9) + 1e-12
+    shortest = np.minimum.reduceat(np.einsum("ti,ij,tj->t", wrapped, torus.gram, wrapped), starts)
+    reach = math.sqrt(max(float(np.max(shortest)), 0.0)) * (1.0 + 1e-9) + 1e-12
     cand, src = _fp_enumerate(torus, reach, offsets=offs)
     u = cand + offs[src]
-    return float(np.min(np.sqrt(np.maximum(np.einsum("ti,ij,tj->t", u, torus.gram, u), 0.0))))
-
-
-def rotation_to_cylinder_axis(v):
-    """Unitary U with U @ v = (0, ..., 0, i*|v|).
-
-    Used to bring a single loop direction to the model position where
-    the cylinder formulas apply.
-    """
-    v = np.asarray(v, dtype=complex).reshape(-1)
-    n = v.size
-    norm = float(np.linalg.norm(v))
-    if norm == 0.0:
-        raise ValueError("cannot rotate the zero vector")
-    u = v / norm
-    e = np.zeros(n, dtype=complex)
-    e[-1] = 1.0
-    un = u[-1]
-    alpha = un / abs(un) if abs(un) > 1e-15 else 1.0
-    w = u + alpha * e
-    P = np.eye(n, dtype=complex) - 2.0 * np.outer(w, w.conj()) / (w.conj() @ w).real
-    c = (P @ u)[-1]
-    S = np.eye(n, dtype=complex)
-    S[-1, -1] = 1j / c
-    return S @ P
+    dist = np.sqrt(np.maximum(np.einsum("ti,ij,tj->t", u, torus.gram, u), 0.0))
+    best = np.full(len(starts), np.inf)
+    np.minimum.at(best, np.searchsorted(starts, src, side="right") - 1, dist)
+    return best.tolist()

@@ -203,6 +203,8 @@ def test_unknown_command_exits():
     ("grid", ["--radius", "inf"]),
     ("offdiag", ["--point", "0.25,0.5", "--point2", "0.5,0.5", "--radius", "nan"]),
     ("rho", ["--point", "0.25,0.5", "--k", "abc"]),
+    # k^2 predicted points of each kind, above ENUM_CAP
+    ("extrema", ["--k", "1000000000"]), ("extrema", ["--k", "1000000000000000000"]),
 ])
 def test_bad_power_or_eps_exits_1_without_traceback(tmp_path, command, flags):
     """A fresh interpreter, so a hang shows as a timeout and a traceback
@@ -336,4 +338,15 @@ def test_unbounded_cylinder_exits_2_without_traceback(eta):
     assert proc.returncode == 2
     assert proc.stderr.startswith("RadiusTooLarge: ")
     assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
+
+
+@pytest.mark.parametrize("flags", [["--eta", "10", "--tmin", "1e307", "--tmax", "1e307"],
+                                   ["--k", "1" + "0" * 400]])
+def test_far_cylinder_inputs_exit_1_without_traceback(flags):
+    """Both ended in an OverflowError traceback."""
+    proc = run_cli(["cylinder", "--res", "1", *flags])
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("ValidationError: ")
+    assert "Traceback" not in proc.stderr and "Warning" not in proc.stderr
     assert proc.stdout == ""

@@ -139,3 +139,13 @@ REMOVED_KEYWORDS = [
                          ids=[f"{c.__name__}-{n}" for c, n in REMOVED_KEYWORDS])
 def test_removed_keywords_are_gone(call, name):
     assert name not in inspect.signature(call).parameters
+
+
+# public helpers that no code read, and the functions their tests moved onto
+REMOVED_NAMES = ["rotation_to_cylinder_axis", "alpha_series_coeff", "torus_distance", "chi_eval"]
+
+
+@pytest.mark.parametrize("name", REMOVED_NAMES)
+def test_removed_names_are_gone(name):
+    assert not hasattr(tk, name)
+    assert name not in tk.__all__

@@ -132,3 +132,26 @@ def test_cylinder_sums_at_the_cap():
     assert _poisson_cutoff(ke2) <= tk.lattice.ENUM_CAP
     params = tk.CylinderParams(eta=math.sqrt(ke2), alpha=0.25, k=1)
     assert abs(tk.rho_cyl_poisson(params) - tk.rho_cyl_direct(params)) < 1e-10
+
+
+@pytest.mark.parametrize("t", [1e300, 1e308, -1e308, 2.0 ** 53 + 0.5])
+def test_far_t_reads_the_reduced_centre(t):
+    """At t = 1e300 the two sums printed 1.7061 and 0.1591 and at 1e308 the loop
+    sum was NaN; both are 1-periodic in a* = m_k + k*eta^2*t, reduced once."""
+    for eta, alpha, k in ((1.0, 0.0, 1), (0.5, 0.3, 2), (0.4, 0.77, 3)):     # k*eta^2 <= 1
+        params = tk.CylinderParams(eta=eta, alpha=alpha, k=k, t=t)
+        a, b = tk.rho_cyl_direct(params), tk.rho_cyl_poisson(params)
+        assert abs(a - b) <= 1e-11 * abs(a)
+        ke2 = k * eta ** 2
+        near = tk.CylinderParams(eta=eta, alpha=alpha, k=k, t=(params.astar - params.m_k) / ke2)
+        assert abs(tk.rho_cyl_direct(near) - a) <= 1e-11 * abs(a)
+        assert 0.0 <= params.astar < 1.0
+
+
+def test_far_inputs_are_validation_errors():
+    """eta = 10 at t = 1e307 ended in an OverflowError traceback from round(a*),
+    and so did a k with 401 digits, in CylinderParams itself."""
+    with pytest.raises(tk.ValidationError, match="not finite"):
+        tk.CylinderParams(eta=10.0, alpha=0.0, k=1, t=1e307)
+    with pytest.raises(tk.ValidationError, match="too large for a float"):
+        tk.CylinderParams(eta=1.0, alpha=0.0, k=10 ** 400)

@@ -375,6 +375,130 @@ def test_batched_refiner_matches_former_refiner(name, tau, d, phases, k, res):
         assert max(map(circ, x, want_x)) <= 1e-9
 
 
+def _former_refine(prep, X, sgn):
+    """The former batched refiner, kept as a reference: the Hessian from fresh
+    cosines at every step, and the halvings of every searching row tried one
+    level at a time, each level one density call."""
+    X = np.array(X, dtype=float)
+    F = sgn * prep.density(X)
+    live = np.arange(len(X))
+    for _ in range(tk.extrema.REFINE_ITERS):
+        G = sgn[live, None] * prep.gradient(X[live])
+        g_max = np.max(np.abs(G), axis=1)
+        live, G, g_max = live[g_max > 0.0], G[g_max > 0.0], g_max[g_max > 0.0]
+        if not live.size:
+            break
+        step = tk.extrema._newton_steps(sgn[live, None, None] * prep.hessian(X[live]), G)
+        uphill = (G[:, None, :] @ step[:, :, None])[:, 0, 0] > 0.0
+        step = np.where(uphill[:, None], step, G / g_max[:, None])
+        step *= (0.25 / np.maximum(np.max(np.abs(step), axis=1), 0.25))[:, None]
+        moved = np.zeros(len(live), dtype=bool)
+        search = np.flatnonzero(np.max(np.abs(step), axis=1) >= 2.0 ** -50)
+        while search.size:
+            rows = live[search]
+            f = sgn[rows] * prep.density(X[rows] + step[search])
+            up = f > F[rows]
+            X[rows[up]] += step[search[up]]
+            F[rows[up]] = f[up]
+            moved[search[up]] = True
+            search = search[~up]
+            step[search] *= 0.5
+            search = search[np.max(np.abs(step[search]), axis=1) >= 2.0 ** -50]
+        live = live[moved]
+    return X % 1.0, sgn * F
+
+
+@pytest.mark.parametrize("name,tau,d,phases,k,res", _REFERENCE_INPUTS,
+                         ids=[f"{c[0]}-k{c[4]}" for c in _REFERENCE_INPUTS])
+def test_batched_halvings_are_bit_identical_to_one_at_a_time(name, tau, d, phases, k, res):
+    """All halvings of the rows whose full step fails, tried in one batch (in
+    calls of len(X) points, or of as many as the grid's budget allows), and
+    the kept cosines give the former refiner's points and values bit for bit."""
+    torus = _reference_torus(tau, d)
+    prep = _prepare(torus, tk.Semicharacter(phases), k, eps=1e-12)
+    values = _grid_values(prep, res)
+    cells = [np.argwhere(np.abs(values - best) <= 1e-9) for best in (values.max(), values.min())]
+    X0 = np.concatenate(cells) / res
+    sgn = np.repeat([1.0, -1.0], [len(c) for c in cells])
+    want_x, want_f = _former_refine(prep, X0, sgn)
+    for budget in (0, values.size):
+        x, f = _refine(prep, X0, sgn, budget)
+        assert x.tobytes() == want_x.tobytes() and f.tobytes() == want_f.tobytes()
+
+
+def _former_find_extrema(torus, chi, k, resolution):
+    """The former report, kept as a reference: every tied cell of both kinds
+    refined, then {kind: (value, distinct tied locations)}."""
+    prep = _prepare(torus, chi, k, eps=1e-12)
+    values = _grid_values(prep, resolution)
+    cells = [np.argwhere(np.abs(values - best) <= 1e-9) for best in (values.max(), values.min())]
+    sgn = np.repeat([1.0, -1.0], [len(c) for c in cells])
+    X, F = _refine(prep, np.concatenate(cells) / resolution, sgn)
+    out = {}
+    for kind, rows in (("max", sgn > 0), ("min", sgn < 0)):
+        opt = float(np.max(F[rows]) if kind == "max" else np.min(F[rows]))
+        locs = X[rows][np.abs(F[rows] - opt) <= 1e-9]
+        locs = locs[np.lexsort(locs.T[::-1])]
+        dedup = locs[:1]
+        for x in locs[1:]:
+            if np.min(np.max(np.abs((x - dedup + 0.5) % 1.0 - 0.5), axis=1)) >= 1e-6:
+                dedup = np.vstack([dedup, x])
+        out[kind] = (opt, dedup)
+    return out
+
+
+_WORKLOAD_RNG = np.random.default_rng(20261019)
+_CLASS_INPUTS = (
+    [(c[0], c[1], c[2], c[3], c[4], c[5]) for c in _REFERENCE_INPUTS]
+    # the benchmark's extremum jobs: n = 1 at k <= 6 and res 32, the surface at k = 2, res 16
+    + [(f"wl{tau}", tau, 1, tuple(_WORKLOAD_RNG.random(2)), k, 32)
+       for tau in (1j, 2j, 0.3 + 1.2j, -0.2 + 0.9j) for k in range(1, 7)]
+    + [("wl-generic", None, None, tuple(_WORKLOAD_RNG.random(4)), 2, 16) for _ in range(3)]
+)
+
+
+@pytest.mark.parametrize("name,tau,d,phases,k,res", _CLASS_INPUTS,
+                         ids=[f"{c[0]}-k{c[4]}-{i}" for i, c in enumerate(_CLASS_INPUTS)])
+def test_one_refinement_per_class_matches_every_cell_refined(name, tau, d, phases, k, res):
+    """Refining one tied cell per translation class and moving the others by
+    their cell offsets reports the former values, multiplicities and tied sets."""
+    torus = _reference_torus(tau, d)
+    chi = tk.Semicharacter(phases)
+    ref = _former_find_extrema(torus, chi, k, res)
+    scale = (k / TWO_PI) ** torus.n
+    for rep in tk.find_extrema(torus, chi, k, resolution=res):
+        value, ties = ref[rep.kind]
+        got = np.array([p.coords for p in rep.tied_locations])
+        assert abs(rep.value - value) <= 1e-13 * scale
+        assert len(got) == len(ties)
+        gap = np.max(np.abs((got[:, None] - ties[None] + 0.5) % 1.0 - 0.5), axis=2)
+        assert np.max(np.min(gap, axis=0)) <= 1e-9 and np.max(np.min(gap, axis=1)) <= 1e-9
+
+
+@pytest.mark.parametrize("k", [10 ** 9, 10 ** 18])
+def test_oversized_prediction_set_is_a_validation_error(sq1, k, monkeypatch):
+    """sq1 has k^2 predicted points of each kind: k = 1e9 was killed for its
+    memory, and at 1e18 find_extrema asked for 6.94 EiB.  The count is taken
+    in integers, before any array and before the grid scan."""
+    chi = tk.Semicharacter((0.3, 0.1))
+    target = tk.HolonomyTarget(vectors=((1, 0), (0, 1)), targets=(1.0, 1.0), k=k)
+    with pytest.raises(tk.ValidationError, match="ENUM_CAP"):
+        tk.solve_holonomy(sq1, chi, target)
+
+    def no_grid(*args):
+        raise AssertionError("the grid was scanned")
+    monkeypatch.setattr(tk.extrema, "_grid_values", no_grid)
+    with pytest.raises(tk.ValidationError, match="ENUM_CAP"):
+        tk.find_extrema(sq1, chi, k)
+
+
+def test_oversized_mesh_is_a_validation_error(rect, chi0):
+    target = tk.HolonomyTarget(vectors=((1, 0),), targets=(1.0,), k=1)
+    assert len(tk.solve_holonomy(rect, chi0, target, mesh=1000).points) == 2000
+    with pytest.raises(tk.ValidationError, match="ENUM_CAP"):
+        tk.solve_holonomy(rect, chi0, target, mesh=10 ** 6)
+
+
 def _half_way_straddles():
     """x = (N + 0.5)/10^12 and its float neighbours, where x*1e12 rounds
     to either side of the half-way point."""

@@ -256,8 +256,9 @@ _N1 = {"sq1": (1j, 1), "d2": (1j, 2), "tau1": (-0.2 + 0.9j, 1), "tau2": (0.3 + 1
 @pytest.mark.parametrize("name,k,resolutions", [c[1:] for c in _GRID_INPUTS],
                          ids=[c[0] for c in _GRID_INPUTS])
 def test_grid_matches_reference_evaluator(name, k, resolutions):
-    """The inverse-FFT grid equals the term-by-term cosine sum, at even,
-    odd and least resolutions."""
+    """The real inverse FFT of the half spectrum equals the term-by-term
+    cosine sum, and the former complex inverse FFT of the full spectrum,
+    at even, odd and least resolutions."""
     if name in _N1:
         torus, chi = tk.standard_torus(*_N1[name]), tk.Semicharacter((0.37, 0.81))
     else:
@@ -268,6 +269,42 @@ def test_grid_matches_reference_evaluator(name, k, resolutions):
         values = tk.rho_grid(torus, chi, k, res).values
         assert values.shape == (res,) * (2 * torus.n)
         assert np.max(np.abs(values - _reference_grid(prep, res))) <= 1e-13 * scale
+        assert np.max(np.abs(values - _former_fft_grid(prep, res))) <= 1e-14 * scale
+
+
+def _former_fft_grid(prep, resolution):
+    """The former FFT grid, kept as a reference: every bin A_v mod r of the
+    full spectrum, and a complex inverse FFT whose real part is the grid."""
+    spectrum = np.zeros((resolution,) * (2 * prep.torus.n), dtype=complex)
+    bins = tuple(np.mod(prep.A, resolution).T)
+    np.add.at(spectrum, bins, prep.weights * np.exp(-2j * np.pi * np.mod(prep.chi_turns, 1.0)))
+    return prep.scale * (1.0 + spectrum.size * np.fft.ifftn(spectrum).real)
+
+
+_TRANSLATION_TORI = {"sq1": (1j, 1), "d2": (1j, 2), "tau1": (-0.2 + 0.9j, 1),
+                     "tau2": (0.3 + 1.2j, 3), "generic": None}
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(name=st.sampled_from(sorted(_TRANSLATION_TORI)), k=st.integers(1, 4),
+       z=st.lists(st.integers(-6, 6), min_size=4, max_size=4),
+       x=st.lists(st.floats(0.0, 1.0), min_size=4, max_size=4),
+       phases=st.lists(st.floats(0.0, 1.0), min_size=4, max_size=4))
+def test_density_is_invariant_under_the_translation_group(name, k, z, x, phases):
+    """Translation by t in (kE)^-1 Z^2n moves every turn A_v . x by an integer,
+    so the density and its gradient at x + t are those at x: the law behind
+    refining one tied cell per class in ``find_extrema``."""
+    if _TRANSLATION_TORI[name] is None:
+        torus = _surface("generic")
+    else:
+        torus = tk.standard_torus(*_TRANSLATION_TORI[name])
+    m = 2 * torus.n
+    prep = _prepare(torus, tk.Semicharacter(tuple(phases[:m])), k, eps=1e-12)
+    t = np.linalg.solve(k * torus.E.astype(float), np.array(z[:m], dtype=float))
+    assert np.allclose(k * torus.E @ t, z[:m], atol=1e-12)
+    x = np.array(x[:m])
+    assert abs(prep.density(x + t) - prep.density(x)) <= 1e-13 * prep.scale
+    assert np.max(np.abs(prep.gradient(x + t) - prep.gradient(x))) <= 1e-13 * prep.scale
 
 
 def test_grid_at_large_k_reduces_phases_exactly():

@@ -232,6 +232,33 @@ def test_shells_l1_is_the_shortest_enumerated_length(skew, rect):
         assert sh.l2 == vecs[len(sh.S1)].length
 
 
+def _former_shells(torus):
+    """The former route, kept as a reference: l1 from its own enumeration
+    to sqrt(min diag G), then the shells from a second one to 2*l1."""
+    start = math.sqrt(float(np.min(np.diag(torus.gram))))
+    l1 = float(_lattice._enumerate_sorted(torus, start * (1.0 + 1e-12))[1][0])
+    coords, lengths = _lattice._enumerate_sorted(torus, 2.0 * l1 * (1.0 + 1e-9))
+    inner = int(np.searchsorted(lengths, l1 * (1.0 + _lattice.TOL_SHELL), side="right"))
+    l2 = float(lengths[inner]) if inner < len(lengths) else 2.0 * l1
+    return l1, l2, [tuple(int(x) for x in c) for c in coords[:inner]], lengths[:inner].tolist()
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(torus=st.one_of(_n1_tori, st.sampled_from(_SURFACES)))
+@example(torus=tk.standard_torus(1j, 1))
+@example(torus=tk.product_torus(_SURFACES[1], tk.standard_torus(-0.2 + 0.9j, 2)))
+def test_l1_and_shells_are_the_former_two_enumerations(torus):
+    """One memoised enumeration to 2*sqrt(min diag G) gives l1, S1 and l2 bit
+    for bit; the torus is rebuilt so that no memo from another test is read."""
+    torus = tk.PolarizedTorus(n=torus.n, basis=torus.basis, H=torus.H)
+    l1, l2, S1, lengths = _former_shells(torus)
+    assert _lattice._l1(torus).hex() == l1.hex()
+    sh = tk.shells(torus)
+    assert (sh.l1.hex(), sh.l2.hex()) == (l1.hex(), l2.hex())
+    assert [v.coords for v in sh.S1] == S1
+    assert [v.length for v in sh.S1] == lengths
+
+
 def test_shells_square(sq1):
     sh = tk.shells(sq1)
     assert abs(sh.l1 - math.sqrt(TWO_PI)) < 1e-12
@@ -254,27 +281,32 @@ def test_shells_rect(rect):
     assert sh.l2 > sh.l1 + 1e-9
 
 
+def _turn_gap(a, b):
+    """Distance between two phases in turns, mod 1."""
+    return abs((a - b + 0.5) % 1.0 - 0.5)
+
+
 def test_semicharacter_cocycle(rng, sq1):
     """chi(u + w) = chi(u) chi(w) exp(i pi E(u, w)) for the canonical
-    extension used throughout."""
+    extension used throughout, in turns mod 1."""
     for torus in (sq1, tk.standard_torus(0.3 + 1.2j, 2)):
         for _ in range(20):
             chi = random_chi(rng)
             u = rng.integers(-6, 7, size=2)
             w = rng.integers(-6, 7, size=2)
-            lhs = tk.chi_eval(chi, torus, u + w)
+            lhs = tk.chi_phase_turns(chi, torus, u + w)
             pairing = int(u @ torus.E @ w)
-            rhs = tk.chi_eval(chi, torus, u) * tk.chi_eval(chi, torus, w) * (-1) ** pairing
-            assert abs(lhs - rhs) < 1e-12
+            rhs = (tk.chi_phase_turns(chi, torus, u) + tk.chi_phase_turns(chi, torus, w)
+                   + pairing / 2)
+            assert _turn_gap(lhs, rhs) < 1e-13
 
 
 def test_semicharacter_exact_turns(sq1):
     chi = tk.Semicharacter((0.25, 0.75))
     # quarter phases and the cocycle parity stay exact for huge coords:
-    # c.phases = -5e8 + 0.75 and S = 1e9*(1e9 - 1) is even
-    val = tk.chi_eval(chi, sq1, np.array([10 ** 9, -10 ** 9 + 1]))
-    assert abs(val - (-1j)) < 1e-12
-    assert abs(tk.chi_eval(chi, sq1, np.array([0, 0])) - 1.0) < 1e-15
+    # c.phases = -5e8 + 0.75 and S = 1e9*(1e9 - 1) is even, so chi = -i
+    assert _turn_gap(tk.chi_phase_turns(chi, sq1, np.array([10 ** 9, -10 ** 9 + 1])), 0.75) < 1e-13
+    assert tk.chi_phase_turns(chi, sq1, np.array([0, 0])) == 0.0
 
 
 def test_torus_point_round_trip(rng, skew):
@@ -305,15 +337,19 @@ def test_semicharacter_length_must_match_torus(sq1):
         tk.rho_diag(sq1, tk.Semicharacter.trivial(2), 1, tk.TorusPoint.zero(sq1))
 
 
+def _distance(torus, p, q):
+    return _lattice._nearest_distance(torus, [(p.coords, [q.coords])])[0]
+
+
 def test_torus_distance(sq1):
     # distances carry the loop-length normalization ell = sqrt(2 pi H)
     p = tk.TorusPoint.from_coords(sq1, np.array([0.0, 0.0]))
     q = tk.TorusPoint.from_coords(sq1, np.array([0.5, 0.5]))
-    assert abs(tk.torus_distance(sq1, p, q) - math.sqrt(TWO_PI * 0.5)) < 1e-12
+    assert abs(_distance(sq1, p, q) - math.sqrt(TWO_PI * 0.5)) < 1e-12
     # wrap-around: 0.9 is 0.1 away from 0
     r = tk.TorusPoint.from_coords(sq1, np.array([0.9, 0.0]))
-    assert abs(tk.torus_distance(sq1, p, r) - 0.1 * math.sqrt(TWO_PI)) < 1e-12
-    assert tk.torus_distance(sq1, p, p) < 1e-15
+    assert abs(_distance(sq1, p, r) - 0.1 * math.sqrt(TWO_PI)) < 1e-12
+    assert _distance(sq1, p, p) < 1e-15
     # points given by far lifts: only the reduced coordinates matter, and
     # the distance is the shortest lift difference over nearby translates
     s = tk.TorusPoint.from_coords(sq1, np.array([0.3, 0.85]))
@@ -324,24 +360,29 @@ def test_torus_distance(sq1):
             far_b = tk.TorusPoint.from_lift(sq1, b.lift - shift)
             want = min(sq1.length_of(b.lift - a.lift + sq1.embed(np.array(c)))
                        for c in itertools.product(range(-2, 3), repeat=2))
-            assert abs(tk.torus_distance(sq1, a, b) - want) < 1e-14
-            assert abs(tk.torus_distance(sq1, far_a, far_b) - want) < 1e-14
+            assert abs(_distance(sq1, a, b) - want) < 1e-14
+            assert abs(_distance(sq1, far_a, far_b) - want) < 1e-14
 
 
 def test_nearest_distance_is_min_of_pairwise(rng, skew):
-    """One batched translate search gives the pairwise minimum exactly."""
+    """One batched translate search gives the pairwise minimum exactly, for
+    one target set and for several sets searched together."""
     for torus in (skew, tk.standard_torus(2.5 + 0.4j, 2), _SURFACES[1]):
         m = 2 * torus.n
         p = tk.TorusPoint.from_coords(torus, rng.random(m))
         targets = [tk.TorusPoint.from_coords(torus, rng.random(m)) for _ in range(40)]
-        want = min(tk.torus_distance(torus, p, q) for q in targets)
-        assert _lattice._nearest_distance(torus, p, targets) == want
+        want = min(_distance(torus, p, q) for q in targets)
+        Q = [q.coords for q in targets]
+        assert _lattice._nearest_distance(torus, [(p.coords, Q)]) == [want]
+        p2 = tk.TorusPoint.from_coords(torus, rng.random(m))
+        want2 = min(_distance(torus, p2, q) for q in targets[:3])
+        assert _lattice._nearest_distance(torus, [(p.coords, Q), (p2.coords, Q[:3])]) == [want, want2]
         # the same points from lifts shifted by +-(3 lambda_1 - 2 lambda_2)
         for sgn in (1, -1):
             shift = sgn * (3 * torus.basis[0] - 2 * torus.basis[1])
             far_p = tk.TorusPoint.from_lift(torus, p.lift + shift)
-            far = [tk.TorusPoint.from_lift(torus, q.lift - shift) for q in targets]
-            assert abs(_lattice._nearest_distance(torus, far_p, far) - want) < 1e-14
+            far = [tk.TorusPoint.from_lift(torus, q.lift - shift).coords for q in targets]
+            assert abs(_lattice._nearest_distance(torus, [(far_p.coords, far)])[0] - want) < 1e-14
 
 
 def test_product_torus(sq1, d2):
@@ -351,16 +392,6 @@ def test_product_torus(sq1, d2):
     assert abs(prod.volume() - sq1.volume() * d2.volume()) < 1e-10
     rep = tk.validate(prod)
     assert rep.rank_E == 4
-
-
-def test_rotation_to_cylinder_axis(rng):
-    for _ in range(10):
-        v = rng.normal(size=2) + 1j * rng.normal(size=2)
-        U = tk.rotation_to_cylinder_axis(v)
-        assert np.allclose(U @ U.conj().T, np.eye(2), atol=1e-12)
-        image = U @ v
-        want = np.array([0.0, 1j * np.linalg.norm(v)])
-        assert np.allclose(image, want, atol=1e-10)
 
 
 def test_random_tori_validate(rng):
