@@ -270,8 +270,8 @@ def find_extrema(torus, chi, k, resolution=32, eps=1e-12):
             if np.min(np.max(np.abs((x - dedup + 0.5) % 1.0 - 0.5), axis=1)) >= 1e-6:
                 dedup = np.vstack([dedup, x])
         located.append((opt, TorusPoint._from_coord_rows(torus, dedup)))
-    dists = _nearest_distance(torus, [(pts[0].coords, Q)
-                                      for (_, pts), (_, Q) in zip(located, predicted)])
+    dists = _nearest_distance(*torus._form(), [(pts[0].coords, Q)
+                                               for (_, pts), (_, Q) in zip(located, predicted)])
     return tuple(
         ExtremumReport(kind=kind, location=pts[0], value=opt, predicted=sol.points, distance=dist,
                        tied_locations=pts, window=window)

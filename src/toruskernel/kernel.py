@@ -35,6 +35,7 @@ an estimate of the cap the radius would need.
 from __future__ import annotations
 
 import csv
+import functools
 import math
 import numbers
 from dataclasses import dataclass
@@ -46,7 +47,6 @@ from .lattice import (
     TWO_PI,
     _as_point,
     _check_integral,
-    _derived,
     _enumerate_sorted,
     _holonomy_turns,
     _l1,
@@ -114,20 +114,16 @@ def _tail_sum(R, k, l1, two_n, stop=math.inf):
 def truncation_radius(torus, k, eps):
     """Minimal radius R with tail_bound(R, k) <= eps (to 1e-9 relative).
 
-    The result depends on the torus, k and eps alone, so it is computed
-    once per torus and kept for as long as the torus lives.
+    The result depends on the numbers l1, 2n, k and eps alone and is memoised
+    on them, so tori with equal l1 and n share one entry.
     """
     _check_power(k, eps)
-    memo = _derived(torus)
-    key = ("radius", int(k), float(eps))
-    if key not in memo:
-        memo[key] = _bisect_radius(torus, k, eps)
-    return memo[key]
+    return _bisect_radius(_l1(torus), 2 * torus.n, int(k), float(eps))
 
 
-def _bisect_radius(torus, k, eps):
+@functools.lru_cache(maxsize=1024)
+def _bisect_radius(l1, two_n, k, eps):
     """Grow-then-bisect search behind ``truncation_radius``."""
-    l1, two_n = _l1(torus), 2 * torus.n
     lo = hi = l1
     if _tail_sum(l1, k, l1, two_n, eps) <= eps:     # terms are positive: a sum past eps stays so
         return l1
@@ -155,7 +151,7 @@ class _PreparedSum:
         self.torus = torus
         self.radius = radius
         self.scale = (k / TWO_PI) ** torus.n
-        C, lengths = _enumerate_sorted(torus, radius)
+        C, lengths = _enumerate_sorted(*torus._form(), radius)
         self.terms = len(lengths)
         self.weights = np.exp(-0.25 * k * lengths ** 2)
         self.A, self.chi_turns = _holonomy_turns(torus, chi, k, C)
@@ -334,7 +330,7 @@ def offdiag_bound(torus, k, x, y, eps=DEFAULT_EPS, radius=None):
     x = _as_point(torus, x)
     y = _as_point(torus, y)
     R = _series_radius(torus, k, eps, radius)
-    _, lengths = _enumerate_sorted(torus, R, offset=np.subtract(y.coords, x.coords))
+    _, lengths = _enumerate_sorted(*torus._form(), R, offset=np.subtract(y.coords, x.coords))
     scale = (k / TWO_PI) ** torus.n
     value = scale * float(np.sum(np.exp(-0.25 * k * lengths ** 2)))
     return SeriesResult(value=value, radius=R, tail=tail_bound(torus, R, k),

@@ -30,7 +30,7 @@ from __future__ import annotations
 import math
 import weakref
 from dataclasses import dataclass, field
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
@@ -59,16 +59,10 @@ ENUM_CAP = 500_000
 #: ``holonomy.calibration_report`` checks it against the transport ODE
 HOL_SIGN = 1
 
-# Pure per-torus values (shortest length, truncation radii), computed on
-# first use.  Tori hash by identity and never change after construction,
-# so an entry is valid for exactly as long as its torus lives, and the
-# weak key drops it together with the torus.
+# The short vectors of each torus, computed on first use.  Tori hash by
+# identity and never change after construction, so an entry is valid for
+# exactly as long as its torus lives, and the weak key drops it with the torus.
 _DERIVED = weakref.WeakKeyDictionary()
-
-
-def _derived(torus):
-    """The memo dict of values derived from ``torus`` alone."""
-    return _DERIVED.setdefault(torus, {})
 
 
 def _pfaffian_int(E):
@@ -180,10 +174,27 @@ class PolarizedTorus:
         """|Pf(E)| as an exact integer."""
         return abs(_pfaffian_int(self.E))
 
-    def _require_chol(self):
+    def _form(self):
+        """The geodesic Gram matrix and its upper Cholesky factor, the form every search reads."""
         if self._chol_upper is None:
             raise NotPositiveDefinite("geodesic Gram matrix is not positive definite")
-        return self._chol_upper
+        return self.gram, self._chol_upper
+
+
+def _check_length(torus, shape):
+    """Raise ValidationError unless ``shape`` is (2n,), that of one point's or loop's coordinates."""
+    if shape != (2 * torus.n,):
+        raise ValidationError(f"coords must have length {2 * torus.n}, got shape {shape}")
+
+
+def _integer_coords(torus, coords):
+    """``coords``, one row (2n,) or rows (t, 2n), as int64: 0.5 or NaN raise ValidationError,
+    never truncate.  Integer arrays skip the element test, so a hot path pays one dtype test."""
+    C = np.asarray(coords)
+    _check_length(torus, C.shape[-1:] if C.ndim <= 2 else C.shape)
+    if C.dtype.kind not in "iu" and not all(float(t).is_integer() for t in C.ravel()):
+        raise ValidationError(f"lattice coordinates must be integers, got {coords!r}")
+    return C.astype(np.int64, copy=False)
 
 
 @dataclass(frozen=True, eq=False)
@@ -197,12 +208,8 @@ class LatticeVector:
     @classmethod
     def from_coords(cls, torus, coords):
         """Integer coordinates only: 0.5 or NaN raise, never truncate."""
-        x = np.asarray(coords)
-        if x.shape != (2 * torus.n,):
-            raise ValidationError(f"coords must have length {2 * torus.n}, got shape {x.shape}")
-        if not all(float(t).is_integer() for t in x):
-            raise ValidationError(f"lattice coordinates must be integers, got {coords!r}")
-        c = x.astype(np.int64)
+        c = _integer_coords(torus, coords)
+        _check_length(torus, c.shape)
         emb = torus.embed(c)
         emb.setflags(write=False)
         q = float(c @ torus.gram @ c)
@@ -236,8 +243,7 @@ class TorusPoint:
     @classmethod
     def from_coords(cls, torus, coords):
         x = np.asarray(coords, dtype=float)
-        if x.shape != (2 * torus.n,):
-            raise ValidationError(f"coords must have length {2 * torus.n}, got shape {x.shape}")
+        _check_length(torus, x.shape)
         check_finite(x.tolist(), "point coordinates")
         x = np.mod(np.mod(x, 1.0), 1.0)
         lift = torus.embed(x)
@@ -265,15 +271,17 @@ class TorusPoint:
 
 
 def _as_point(torus, p):
-    """A TorusPoint as is, anything else read as a lift in C^n."""
+    """A TorusPoint of 2n coordinates as is, anything else read as a lift in C^n."""
     if isinstance(p, TorusPoint):
+        _check_length(torus, (len(p.coords),))
         return p
     return TorusPoint.from_lift(torus, p)
 
 
 def _as_vector(torus, v):
-    """A LatticeVector as is, anything else read as integer coordinates."""
+    """A LatticeVector of 2n coordinates as is, anything else read as integer coordinates."""
     if isinstance(v, LatticeVector):
+        _check_length(torus, (len(v.coords),))
         return v
     return LatticeVector.from_coords(torus, v)
 
@@ -342,43 +350,35 @@ def validate(torus):
     )
 
 
-def length(torus, v):
-    """Geodesic loop length of v (a LatticeVector or a vector in C^n)."""
-    if isinstance(v, LatticeVector):
-        return v.length
-    return torus.length_of(v)
-
-
 # -- enumeration -----------------------------------------------------------
 
 
-def _ball_count_estimate(torus, radius):
-    """1.5 ball volumes per covolume, plus 2n, as an int for any finite
+def _ball_count_estimate(chol, radius):
+    """1.5 ball volumes per covolume (the product of diag chol), plus m, as an int for any finite
     radius: the power is taken on exact integer ratios, not in floats."""
-    m = 2 * torus.n
-    covol = math.sqrt(max(float(np.linalg.det(torus.gram)), 1e-300))
+    m = chol.shape[0]
+    covol = max(float(np.prod(np.diag(chol))), 1e-150)
     a, b = (1.5 * math.pi ** (m / 2) / math.gamma(m / 2 + 1) / covol).as_integer_ratio()
     c, d = float(radius).as_integer_ratio()
     return -(-a * c ** m // (b * d ** m)) + m
 
 
-def _fp_enumerate(torus, radius, offsets=None, cap=ENUM_CAP):
-    """Integer vectors c with ell(c + o) <= radius, for each row o of the
-    (Q, 2n) array ``offsets`` (one zero offset when None), by Fincke-Pohst
-    on the Cholesky factor of the Gram matrix.
+def _fp_enumerate(chol, radius, offsets=None, cap=ENUM_CAP):
+    """Integer vectors c with |R(c + o)| <= radius, for the upper Cholesky
+    factor R = ``chol`` of an m x m form and each row o of the (Q, m) array
+    ``offsets`` (one zero offset when None), by Fincke-Pohst.
 
     The search runs level by level, from the last coordinate to the
     first: every partial vector of one depth, for every offset, is
     expanded over its admissible range in a single array step.  No step
     makes more than ``cap`` rows, so memory stays O(cap) rows per level;
     a level with more children than that is expanded in slices, depth
-    first.  Returns (coords, source): an (N, 2n) int array, unsorted, and
+    first.  Returns (coords, source): an (N, m) int array, unsorted, and
     the offsets row each candidate belongs to.  The candidate search
     runs with a slightly padded radius; callers apply the exact length
     filter.
     """
-    R = torus._require_chol()
-    m = 2 * torus.n
+    R, m = chol, chol.shape[0]
     offs = np.zeros((1, m)) if offsets is None else np.asarray(offsets, dtype=float)
     pad = radius * (1.0 + 1e-12) + 1e-12
     budget = pad * pad
@@ -388,7 +388,7 @@ def _fp_enumerate(torus, radius, offsets=None, cap=ENUM_CAP):
 
     def too_large():
         return RadiusTooLarge(f"enumeration inside radius {radius:.6g} exceeds cap {cap}",
-                              required_cap=_ball_count_estimate(torus, radius))
+                              required_cap=_ball_count_estimate(R, radius))
 
     def expand(i, C, src, rem):
         nonlocal found
@@ -435,20 +435,21 @@ def _fp_enumerate(torus, radius, offsets=None, cap=ENUM_CAP):
     return np.concatenate(out), np.concatenate(sources)
 
 
-def _enumerate_sorted(torus, radius, offset=None, cap=ENUM_CAP):
-    """Lattice coordinates c with ell(c + offset) <= radius, and their lengths.
+def _enumerate_sorted(gram, chol, radius, offset=None, cap=ENUM_CAP):
+    """Integer vectors c with |c + offset| <= radius in the form ``gram``
+    (upper Cholesky factor ``chol``), and their lengths.
 
     Returns (coords, lengths) arrays ordered by length, ties broken
     lexicographically on coordinates.  Without an offset the zero
     vector is left out.
     """
-    cand, _ = _fp_enumerate(torus, radius, None if offset is None else [offset], cap=cap)
+    cand, _ = _fp_enumerate(chol, radius, None if offset is None else [offset], cap=cap)
     if offset is None:
         cand = cand[np.any(cand != 0, axis=1)]
         u = cand
     else:
         u = cand + np.asarray(offset, dtype=float)
-    lengths = np.sqrt(np.maximum(np.einsum("ti,ij,tj->t", u, torus.gram, u), 0.0))
+    lengths = np.sqrt(np.maximum(np.einsum("ti,ij,tj->t", u, gram, u), 0.0))
     keep = lengths <= radius
     cand, lengths = cand[keep], lengths[keep]
     # lexsort's last key is the primary one: length, then c_1, c_2, ...
@@ -456,13 +457,31 @@ def _enumerate_sorted(torus, radius, offset=None, cap=ENUM_CAP):
     return cand[order], lengths[order]
 
 
-def _lattice_vectors(torus, coords, lengths):
+def _nearest_distance(gram, chol, pairs):
+    """For each (x, Q) in ``pairs``, the distance in the form ``gram`` from the point x to the
+    nearest row of Q modulo Z^m, by one translate search over every offset Q - x; the largest
+    of the pairs' shortest wrapped offsets reaches every answer."""
+    offs = [np.asarray(Q, dtype=float) - np.asarray(x, dtype=float) for x, Q in pairs]
+    starts = np.cumsum([0] + [len(o) for o in offs[:-1]])
+    offs = np.concatenate(offs)
+    wrapped = offs - np.rint(offs)
+    shortest = np.minimum.reduceat(np.einsum("ti,ij,tj->t", wrapped, gram, wrapped), starts)
+    reach = math.sqrt(max(float(np.max(shortest)), 0.0)) * (1.0 + 1e-9) + 1e-12
+    cand, src = _fp_enumerate(chol, reach, offsets=offs)
+    u = cand + offs[src]
+    dist = np.sqrt(np.maximum(np.einsum("ti,ij,tj->t", u, gram, u), 0.0))
+    best = np.full(len(starts), np.inf)
+    np.minimum.at(best, np.searchsorted(starts, src, side="right") - 1, dist)
+    return best.tolist()
+
+
+def _lattice_vectors(basis, coords, lengths):
     """LatticeVector objects for enumerated rows (the API edge).
 
     Each embedding is computed row by row, as ``LatticeVector.from_coords``
     does, so both constructions of one vector agree to the last bit.
     """
-    return [LatticeVector(coords=tuple(int(x) for x in c), embedding=torus.embed(c),
+    return [LatticeVector(coords=tuple(int(x) for x in c), embedding=c.astype(float) @ basis,
                           length=float(ell))
             for c, ell in zip(coords, lengths)]
 
@@ -473,13 +492,13 @@ def enumerate_within(torus, radius, cap=ENUM_CAP):
     Sorted by length, ties broken lexicographically on coordinates.
     The search itself is array-native (see ``_enumerate_sorted``);
     LatticeVector objects are built only here, for callers that want
-    them.  Nothing is cached here: only the shortest length and the
-    truncation radii are memoised per torus, and they are dropped with
-    the torus.  Raises RadiusTooLarge when the search meets more than
+    them.  Nothing is cached here: only the short vectors behind
+    ``shells`` are memoised per torus, and they are dropped with the
+    torus.  Raises RadiusTooLarge when the search meets more than
     ``cap`` candidate vectors, and ValidationError for a non-finite radius.
     """
     check_finite((radius,), "radius")
-    return _lattice_vectors(torus, *_enumerate_sorted(torus, radius, cap=cap))
+    return _lattice_vectors(torus.basis, *_enumerate_sorted(*torus._form(), radius, cap=cap))
 
 
 def enumerate_shifted(torus, shift, radius, cap=ENUM_CAP):
@@ -492,18 +511,18 @@ def enumerate_shifted(torus, shift, radius, cap=ENUM_CAP):
     """
     check_finite((radius,), "radius")
     off = torus.coords_from_lift(shift)
-    coords, lengths = _enumerate_sorted(torus, radius, offset=off, cap=cap)
+    coords, lengths = _enumerate_sorted(*torus._form(), radius, offset=off, cap=cap)
     return coords, (coords + off) @ torus.basis, lengths
 
 
 def _short_vectors(torus):
     """``_enumerate_sorted`` within 2*sqrt(min diag G)*(1 + 1e-9), once per torus: as
     l1 <= sqrt(min diag G), it holds l1 and every length ``shells`` reads."""
-    memo = _derived(torus)
-    if "short" not in memo:
-        start = math.sqrt(float(np.min(np.diag(torus.gram))))
-        memo["short"] = _enumerate_sorted(torus, 2.0 * start * (1.0 + 1e-9))
-    return memo["short"]
+    if torus not in _DERIVED:
+        gram, chol = torus._form()
+        start = math.sqrt(float(np.min(np.diag(gram))))
+        _DERIVED[torus] = _enumerate_sorted(gram, chol, 2.0 * start * (1.0 + 1e-9))
+    return _DERIVED[torus]
 
 
 def _l1(torus):
@@ -522,7 +541,7 @@ def shells(torus):
     l1 = float(lengths[0])
     top = int(np.searchsorted(lengths, 2.0 * l1 * (1.0 + 1e-9), side="right"))
     inner = int(np.searchsorted(lengths, l1 * (1.0 + TOL_SHELL), side="right"))
-    S1 = _lattice_vectors(torus, coords[:inner], lengths[:inner])
+    S1 = _lattice_vectors(torus.basis, coords[:inner], lengths[:inner])
     l2 = float(lengths[inner]) if inner < top else 2.0 * l1
     return Shells(l1=l1, l2=l2, S1=S1)
 
@@ -536,12 +555,13 @@ def chi_phase_turns(chi, torus, coords):
     chi(c) = exp(2*pi*i * (c . phases + S/2)) with the integer cocycle
     correction S = sum_{i<j} c_i c_j E[i][j]; the half-integer part is
     exact, so powers of chi keep their exact signs.  E must be integral.
+    Coordinates of another length or not integers (0.5, NaN) raise ValidationError.
     """
     _check_integral(torus)
     if len(chi.phases) != 2 * torus.n:
         raise ValidationError(
             f"semicharacter needs {2 * torus.n} phases, got {len(chi.phases)}")
-    C = np.asarray(coords, dtype=np.int64)
+    C = _integer_coords(torus, coords)
     single = C.ndim == 1
     C = np.atleast_2d(C)
     S = np.einsum("ti,ij,tj->t", C, np.triu(torus.E, k=1), C)
@@ -572,7 +592,7 @@ def automorphy_factor(torus, chi, k, coords, z):
     shape (P, n) gives P multipliers with one chi phase; others a complex.
     """
     check_count(k, 1, "k")
-    lam = torus.embed(np.asarray(coords, dtype=np.int64))
+    lam = LatticeVector.from_coords(torus, coords).embedding
     z = np.asarray(z, dtype=complex)
     hzl = (z if z.ndim == 2 else z.reshape(1, torus.n)) @ torus.H @ lam.conj()
     hll = torus.hermitian_pair(lam, lam)
@@ -607,20 +627,3 @@ def product_torus(a, b):
     H[a.n:, a.n:] = b.H
     return PolarizedTorus(n=n, basis=basis, H=H)
 
-
-def _nearest_distance(torus, pairs):
-    """For each (x, Q) in ``pairs`` (lattice coordinates of a point and m targets), the
-    geodesic distance from x to the nearest row of Q, by one translate search over every
-    offset Q - x; the largest of the pairs' shortest wrapped offsets reaches every answer."""
-    offs = [np.asarray(Q, dtype=float) - np.asarray(x, dtype=float) for x, Q in pairs]
-    starts = np.cumsum([0] + [len(o) for o in offs[:-1]])
-    offs = np.concatenate(offs)
-    wrapped = offs - np.rint(offs)
-    shortest = np.minimum.reduceat(np.einsum("ti,ij,tj->t", wrapped, torus.gram, wrapped), starts)
-    reach = math.sqrt(max(float(np.max(shortest)), 0.0)) * (1.0 + 1e-9) + 1e-12
-    cand, src = _fp_enumerate(torus, reach, offsets=offs)
-    u = cand + offs[src]
-    dist = np.sqrt(np.maximum(np.einsum("ti,ij,tj->t", u, torus.gram, u), 0.0))
-    best = np.full(len(starts), np.inf)
-    np.minimum.at(best, np.searchsorted(starts, src, side="right") - 1, dist)
-    return best.tolist()

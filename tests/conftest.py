@@ -101,16 +101,24 @@ def brute_rho(torus, chi, k, coords, radius):
 # checked on the spot: the true loop mass beyond the truncation radius
 # (enumerated out to R + 10) must sit below the packing tail bound that
 # the result reports.  Each distinct (lattice, k, radius) combination is
-# audited once; a violation fails the calling test immediately.
+# audited once; a violation fails the calling test immediately.  Every
+# prepared sum built is counted too, so that one built past the audited
+# wrapper fails the session.
 
 import math as _math
 
 import toruskernel.extrema as _extrema
 import toruskernel.kernel as _kernel
 
-TRUNCATION_AUDIT = {"calls": 0, "checked": 0, "violations": []}
+TRUNCATION_AUDIT = {"calls": 0, "built": 0, "checked": 0, "violations": []}
 _audited_keys = set()
 _real_prepare = _kernel._prepare
+_real_init = _kernel._PreparedSum.__init__
+
+
+def _counted_init(self, *args, **kwargs):
+    _real_init(self, *args, **kwargs)
+    TRUNCATION_AUDIT["built"] += 1
 
 
 def _audited_prepare(torus, chi, k, *args, **kwargs):
@@ -133,18 +141,19 @@ def _audited_prepare(torus, chi, k, *args, **kwargs):
     return prep
 
 
+_kernel._PreparedSum.__init__ = _counted_init
 _kernel._prepare = _audited_prepare
 _extrema._prepare = _audited_prepare
 
 
 def pytest_sessionfinish(session, exitstatus):
-    """Fail a session that ran the series tests while the audit saw no
-    preparation: the wrapper above would then be auditing nothing."""
-    ran_series = any(item.module.__name__ == "test_kernel" for item in session.items)
-    if ran_series and TRUNCATION_AUDIT["checked"] == 0:
+    """Fail a session that built a prepared sum outside the audited wrapper:
+    its certificate went unchecked.  A session that built none passes."""
+    unaudited = TRUNCATION_AUDIT["built"] - TRUNCATION_AUDIT["calls"]
+    if unaudited > 0:
         writer = session.config.get_terminal_writer()
         writer.line()
         writer.line(
-            "FAILED truncation audit: no preparation was checked, the _prepare "
-            "wrapper is bypassed", red=True)
+            f"FAILED truncation audit: {unaudited} prepared sums were built past the "
+            "audited _prepare wrapper", red=True)
         session.exitstatus = pytest.ExitCode.TESTS_FAILED

@@ -104,6 +104,41 @@ def test_wrong_length_points_and_vectors():
         tk.hol_closed(SQ1, CHI, 1, P, (1, 0, 0))
     with pytest.raises(tk.ValidationError):
         tk.LatticeVector.from_coords(SQ1, (1,))
+    for coords in ((1, 0, 1), [[[1, 0]]], ()):
+        with pytest.raises(tk.ValidationError, match="length"):
+            tk.chi_phase_turns(CHI, SQ1, coords)
+        with pytest.raises(tk.ValidationError, match="length"):
+            tk.automorphy_factor(SQ1, CHI, 1, coords, [0.1j])
+
+
+_PRODUCT = tk.product_torus(SQ1, tk.standard_torus(0.3 + 1.2j, 1))
+_CHI2 = tk.Semicharacter.trivial(2)
+_P2 = tk.TorusPoint.from_coords(_PRODUCT, (0.3, 0.6, 0.1, 0.2))
+_V1 = tk.LatticeVector.from_coords(SQ1, (1, 0))
+_GRAM = tk.build_gram(BASIS)
+
+# (call, the call on a point or loop made on a torus of another dimension)
+FOREIGN_CALLS = [
+    ("rho_diag", lambda: tk.rho_diag(_PRODUCT, _CHI2, 1, P)),
+    ("rho_gradient", lambda: tk.rho_gradient(_PRODUCT, _CHI2, 1, P)),
+    ("hol_closed", lambda: tk.hol_closed(_PRODUCT, _CHI2, 1, _P2, _V1)),
+    ("hol_ode", lambda: tk.hol_ode(_PRODUCT, _CHI2, 1, _P2, _V1)),
+    ("pushforward_fit", lambda: tk.pushforward_fit(_PRODUCT, _CHI2, 1, _V1)),
+    ("solve_holonomy", lambda: tk.solve_holonomy(_PRODUCT, _CHI2, tk.HolonomyTarget(
+        vectors=(_V1,), targets=(1.0 + 0j,), k=1))),
+    ("offdiag_bound", lambda: tk.offdiag_bound(_PRODUCT, 1, P, _P2)),
+    ("rho_oracle", lambda: tk.rho_oracle(BASIS, _GRAM, _P2)),
+    ("offdiag_oracle", lambda: tk.offdiag_oracle(BASIS, _GRAM, P, _P2)),
+]
+
+
+@pytest.mark.parametrize("call,run", FOREIGN_CALLS, ids=[c for c, _ in FOREIGN_CALLS])
+def test_point_or_loop_of_another_torus_is_a_validation_error(call, run):
+    """A TorusPoint or LatticeVector passed through whatever torus built it:
+    these ended in numpy's ValueError or an IndexError, and the oracles read
+    an n = 2 point's first lift entry and answered."""
+    with pytest.raises(tk.ValidationError, match="length"):
+        run()
 
 
 # (call, the loop-vector argument set to v)
@@ -113,6 +148,8 @@ LOOP_VECTOR_CALLS = [
     ("solve_holonomy", lambda v: tk.solve_holonomy(SQ1, CHI, tk.HolonomyTarget(
         vectors=((1, 0), v), targets=(1.0 + 0j, 1.0 + 0j), k=1))),
     ("pushforward_fit", lambda v: tk.pushforward_fit(SQ1, CHI, 1, v)),
+    ("chi_phase_turns", lambda v: tk.chi_phase_turns(CHI, SQ1, v)),
+    ("automorphy_factor", lambda v: tk.automorphy_factor(SQ1, CHI, 1, v, [0.1j])),
 ]
 
 
@@ -120,7 +157,7 @@ LOOP_VECTOR_CALLS = [
 def test_non_integral_loop_vector_is_a_validation_error(call, run):
     """(0.5, 1.7) used to be truncated to (0, 1) and answered for that
     loop; an integral float such as 1.0 is still a loop coordinate."""
-    for v in ((0.5, 1.7), (math.nan, 1), (math.inf, 0), (1, 1e-9)):
+    for v in ((0.5, 1.7), (math.nan, 1), (math.inf, 0), (1, 1e-9), np.array([0.5, 1], dtype=object)):
         with pytest.raises(tk.ValidationError, match="integers"):
             run(v)
     run((0.0, 1.0))

@@ -116,10 +116,11 @@ def test_tail_bound_early_exit_is_bit_identical(name, k, u):
 @pytest.mark.parametrize("name", sorted(_TAIL_TORI))
 def test_truncation_radius_is_bit_identical_to_the_former_search(name):
     torus = _TAIL_TORI[name]
+    l1 = tk.shells(torus).l1
     for k in (1, 2, 3, 4, 7, 20, 100, 1000, 10 ** 4):
         for eps in (1e-6, 1e-8, 1e-10, 1e-12, 1e-300, 5e-324):
             want = _reference_bisect_radius(torus, k, eps)
-            assert _kernel._bisect_radius(torus, k, eps).hex() == want.hex()
+            assert _kernel._bisect_radius(l1, 2 * torus.n, k, eps).hex() == want.hex()
             assert tk.truncation_radius(torus, k, eps).hex() == want.hex()
 
 

@@ -162,24 +162,25 @@ _n1_tori = st.builds(
 )
 
 
-def _brute_sorted(torus, radius, off):
-    """Every row of a coordinate box that holds the ball, filtered by the
-    exact length test and sorted by Python's sorted on (length, coords).
+def _brute_sorted(gram, radius, off):
+    """Every row of a coordinate box that holds the ball of the form ``gram``,
+    filtered by the exact length test and sorted by Python's sorted on
+    (length, coords).
 
     Lengths use the enumerator's quadratic-form expression, so ties
     between equally long vectors compare the same bits on both sides.
     """
-    m = 2 * torus.n
+    m = len(gram)
     # |c_i + off_i| <= radius * sqrt((G^-1)_ii) on the ellipsoid
-    reach = radius * np.sqrt(np.diag(np.linalg.inv(torus.gram)))
+    reach = radius * np.sqrt(np.diag(np.linalg.inv(gram)))
     lo = np.floor(-reach - off).astype(int) - 1
     hi = np.ceil(reach - off).astype(int) + 1
-    box = np.array(list(itertools.product(*(range(a, b + 1) for a, b in zip(lo, hi)))))
+    axes = np.meshgrid(*(np.arange(a, b + 1) for a, b in zip(lo, hi)), indexing="ij")
+    box = np.stack(axes, axis=-1).reshape(-1, m)
     u = box + off
-    lengths = np.sqrt(np.maximum(np.einsum("ti,ij,tj->t", u, torus.gram, u), 0.0))
-    rows = [(float(ell), tuple(int(x) for x in c)) for c, ell in zip(box, lengths)
-            if ell <= radius]
-    return sorted(rows)
+    lengths = np.sqrt(np.maximum(np.einsum("ti,ij,tj->t", u, gram, u), 0.0))
+    keep = lengths <= radius
+    return sorted((float(ell), tuple(int(x) for x in c)) for c, ell in zip(box[keep], lengths[keep]))
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -197,20 +198,104 @@ def test_enumeration_order_matches_sorted_brute_force(torus, reach, shift):
     l1 = tk.shells(torus).l1
     radius = reach * l1 * (1.5 if torus.n == 1 else 1.0)
     if shift is None:
-        want = [row for row in _brute_sorted(torus, radius, np.zeros(m)) if any(row[1])]
+        want = [row for row in _brute_sorted(torus.gram, radius, np.zeros(m)) if any(row[1])]
         got = [(v.length, v.coords) for v in tk.enumerate_within(torus, radius)]
     else:
         off = torus.coords_from_lift(torus.embed(np.array(shift[:m])))
-        want = _brute_sorted(torus, radius, off)
+        want = _brute_sorted(torus.gram, radius, off)
         coords, _, lengths = tk.enumerate_shifted(torus, torus.embed(np.array(shift[:m])), radius)
         got = [(float(ell), tuple(int(x) for x in c)) for c, ell in zip(coords, lengths)]
     assert got == want
 
 
+def _box_radius(gram):
+    """2*sqrt(min diag G), which holds +-e_i and at least the first shell, or less where the
+    coordinate box of ``_brute_sorted`` would hold more than about 3e5 rows."""
+    widest = float(np.max(np.sqrt(np.diag(np.linalg.inv(gram)))))
+    budget = (3e5 ** (1.0 / len(gram)) - 3.0) / (2.0 * widest)
+    return min(2.0 * math.sqrt(float(np.min(np.diag(gram)))), budget)
+
+
+@st.composite
+def _forms(draw):
+    """A positive definite form A^T A + delta*I of dimension 1-6, no torus's
+    Gram matrix, with its upper Cholesky factor."""
+    m = draw(st.integers(1, 6))
+    A = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=m * m, max_size=m * m)))
+    gram = A.reshape(m, m).T @ A.reshape(m, m) + draw(st.floats(0.5, 2.0)) * np.eye(m)
+    gram = 0.5 * (gram + gram.T)
+    return gram, np.linalg.cholesky(gram).T
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(form=_forms(), t=st.floats(0.5, 1.0), shifted=st.booleans(), data=st.data())
+def test_form_enumeration_matches_brute_force(form, t, shifted, data):
+    """The search reads a bare form: on forms of any dimension 1-6, with and
+    without an offset, it returns the brute-force rows in length-then-lex order."""
+    gram, chol = form
+    m = len(gram)
+    radius = t * _box_radius(gram)
+    offset = None
+    if shifted:
+        offset = np.array(data.draw(st.lists(st.floats(-3.0, 3.0), min_size=m, max_size=m)))
+    want = _brute_sorted(gram, radius, np.zeros(m) if offset is None else offset)
+    if offset is None:
+        want = [row for row in want if any(row[1])]
+    coords, lengths = _lattice._enumerate_sorted(gram, chol, radius, offset=offset)
+    assert [tuple(int(x) for x in c) for c in coords] == [c for _, c in want]
+    assert np.all(np.abs(lengths - [ell for ell, _ in want]) <= 1e-12)
+
+
+def _wrapped_length(gram, off):
+    w = off - np.rint(off)
+    return math.sqrt(max(float(w @ gram @ w), 0.0))
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(form=_forms(), data=st.data())
+def test_form_nearest_distance_matches_brute_force(form, data):
+    """On the same forms, each pair's distance modulo Z^m is the brute-force
+    minimum over its targets; each pair has one target within the box radius
+    of its point, in the form, so the brute-force boxes stay small."""
+    gram, chol = form
+    m = len(gram)
+    coords = st.lists(st.floats(-2.0, 2.0), min_size=m, max_size=m)
+    pairs, want = [], []
+    for _ in range(2):
+        x = np.array(data.draw(coords))
+        w = np.array(data.draw(st.lists(st.floats(-0.5, 0.5), min_size=m, max_size=m)))
+        w *= min(1.0, _box_radius(gram) / max(_wrapped_length(gram, w), 1e-300))
+        shift = np.array(data.draw(st.lists(st.integers(-3, 3), min_size=m, max_size=m)))
+        Q = np.vstack([x + w + shift] + [data.draw(coords) for _ in range(data.draw(st.integers(0, 3)))])
+        reach = min(_wrapped_length(gram, q - x) for q in Q) * (1.0 + 1e-9) + 1e-12
+        best = [_brute_sorted(gram, reach, q - x) for q in Q]
+        pairs.append((x, Q))
+        want.append(min(rows[0][0] for rows in best if rows))
+    got = _lattice._nearest_distance(gram, chol, pairs)
+    assert np.all(np.abs(np.array(got) - want) <= 1e-12)
+
+
+def test_tori_with_equal_l1_and_n_share_one_radius_entry():
+    """The radius is memoised on (l1, 2n, k, eps): a torus built anew with
+    the same data reads the first one's entry, bit for bit."""
+    a = tk.standard_torus(0.35 + 1.15j, 2)
+    b = tk.PolarizedTorus(n=a.n, basis=a.basis, H=a.H)
+    assert b is not a and _lattice._l1(b).hex() == _lattice._l1(a).hex()
+    before = _kernel._bisect_radius.cache_info()
+    r_a = tk.truncation_radius(a, 7, 3.25e-9)
+    r_b = tk.truncation_radius(b, np.int64(7), 3.25e-9)
+    after = _kernel._bisect_radius.cache_info()
+    assert r_b.hex() == r_a.hex()
+    assert (after.misses - before.misses, after.hits - before.hits) == (1, 1)
+    assert after.currsize == before.currsize + 1
+
+
 def test_truncation_radius_memo_is_exact_and_dies_with_torus():
+    """A memoised radius equals a fresh search, and the torus's own memo
+    entry, the short vectors it was read from, is freed with the torus."""
     torus = tk.standard_torus(0.4 + 1.3j, 2)
     for k, eps in ((1, 1e-10), (3, 1e-8), (np.int64(2), 1e-12)):
-        fresh = _kernel._bisect_radius(torus, k, eps)
+        fresh = _kernel._bisect_radius.__wrapped__(_lattice._l1(torus), 2 * torus.n, k, eps)
         assert tk.truncation_radius(torus, k, eps).hex() == fresh.hex()
         assert tk.truncation_radius(torus, k, eps).hex() == fresh.hex()    # memo hit
     assert torus in _lattice._DERIVED
@@ -236,8 +321,8 @@ def _former_shells(torus):
     """The former route, kept as a reference: l1 from its own enumeration
     to sqrt(min diag G), then the shells from a second one to 2*l1."""
     start = math.sqrt(float(np.min(np.diag(torus.gram))))
-    l1 = float(_lattice._enumerate_sorted(torus, start * (1.0 + 1e-12))[1][0])
-    coords, lengths = _lattice._enumerate_sorted(torus, 2.0 * l1 * (1.0 + 1e-9))
+    l1 = float(_lattice._enumerate_sorted(*torus._form(), start * (1.0 + 1e-12))[1][0])
+    coords, lengths = _lattice._enumerate_sorted(*torus._form(), 2.0 * l1 * (1.0 + 1e-9))
     inner = int(np.searchsorted(lengths, l1 * (1.0 + _lattice.TOL_SHELL), side="right"))
     l2 = float(lengths[inner]) if inner < len(lengths) else 2.0 * l1
     return l1, l2, [tuple(int(x) for x in c) for c in coords[:inner]], lengths[:inner].tolist()
@@ -338,7 +423,7 @@ def test_semicharacter_length_must_match_torus(sq1):
 
 
 def _distance(torus, p, q):
-    return _lattice._nearest_distance(torus, [(p.coords, [q.coords])])[0]
+    return _lattice._nearest_distance(*torus._form(), [(p.coords, [q.coords])])[0]
 
 
 def test_torus_distance(sq1):
@@ -373,16 +458,16 @@ def test_nearest_distance_is_min_of_pairwise(rng, skew):
         targets = [tk.TorusPoint.from_coords(torus, rng.random(m)) for _ in range(40)]
         want = min(_distance(torus, p, q) for q in targets)
         Q = [q.coords for q in targets]
-        assert _lattice._nearest_distance(torus, [(p.coords, Q)]) == [want]
+        assert _lattice._nearest_distance(*torus._form(), [(p.coords, Q)]) == [want]
         p2 = tk.TorusPoint.from_coords(torus, rng.random(m))
         want2 = min(_distance(torus, p2, q) for q in targets[:3])
-        assert _lattice._nearest_distance(torus, [(p.coords, Q), (p2.coords, Q[:3])]) == [want, want2]
+        assert _lattice._nearest_distance(*torus._form(), [(p.coords, Q), (p2.coords, Q[:3])]) == [want, want2]
         # the same points from lifts shifted by +-(3 lambda_1 - 2 lambda_2)
         for sgn in (1, -1):
             shift = sgn * (3 * torus.basis[0] - 2 * torus.basis[1])
             far_p = tk.TorusPoint.from_lift(torus, p.lift + shift)
             far = [tk.TorusPoint.from_lift(torus, q.lift - shift).coords for q in targets]
-            assert abs(_lattice._nearest_distance(torus, [(far_p.coords, far)])[0] - want) < 1e-14
+            assert abs(_lattice._nearest_distance(*torus._form(), [(far_p.coords, far)])[0] - want) < 1e-14
 
 
 def test_product_torus(sq1, d2):
