@@ -131,8 +131,7 @@ def _cmd_oracle(args):
         for j in range(args.res):
             p = TorusPoint.from_coords(bundle.torus, np.array([i / args.res, j / args.res]))
             exact = rho_diag(bundle.torus, bundle.chi, k, p, eps=args.eps).value
-            orc = rho_oracle(basis, gram, TorusPoint.from_coords(basis.torus,
-                                                                 np.array(p.coords)))
+            orc = rho_oracle(basis, gram, p)
             rows.append((i / args.res, j / args.res, exact, orc, abs(exact - orc)))
     _csv_rows(args, ["x1", "x2", "rho_exact", "rho_oracle", "absdiff"], rows)
     return 0

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigParseError
+from .errors import ConfigParseError, ValidationError
 from .lattice import PolarizedTorus, Semicharacter
 
 
@@ -76,19 +76,17 @@ def parse_bundle(data) -> BundleConfig:
     missing = {"n", "basis", "H", "chi_phases", "k"} - set(data)
     if missing:
         raise ConfigParseError(f"config missing fields: {sorted(missing)}")
-    n = data["n"]
-    if not isinstance(n, int) or n < 1:
-        raise ConfigParseError("n must be a positive integer")
-    k = data["k"]
-    if not isinstance(k, int) or k < 1:
-        raise ConfigParseError("k must be a positive integer")
+    for name in ("n", "k"):
+        if isinstance(data[name], bool) or not isinstance(data[name], int) or data[name] < 1:
+            raise ConfigParseError(f"{name} must be a positive integer")
+    n, k = data["n"], data["k"]
     phases = data["chi_phases"]
     if (not isinstance(phases, list) or len(phases) != 2 * n
             or not all(isinstance(x, (int, float)) for x in phases)):
         raise ConfigParseError(f"chi_phases must list 2n = {2 * n} reals")
     try:
         torus = PolarizedTorus(n=n, basis=_parse_basis(data["basis"], n), H=_parse_H(data["H"], n))
-    except ValueError as exc:
+    except (ValueError, ValidationError) as exc:
         raise ConfigParseError(str(exc))
     return BundleConfig(torus=torus, chi=Semicharacter(phases=tuple(phases)), k=k)
 

@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import RadiusTooLarge, ValidationError, check_count, check_finite
-from .lattice import ENUM_CAP
+from .lattice import ENUM_CAP, _frac
 
 TWO_PI = 2.0 * math.pi
 
@@ -68,12 +68,12 @@ class CylinderParams:
             ka = self.k * self.alpha
         except OverflowError:
             raise ValidationError("k is too large for a float") from None
-        object.__setattr__(self, "m_k", ka - math.floor(ka))
+        object.__setattr__(self, "m_k", _frac(ka))
         ke2 = self.k * self.eta * self.eta      # inf past the floats, where the sums raise
         astar = self.m_k + ke2 * self.t
         if math.isfinite(ke2) and not math.isfinite(astar):
             raise ValidationError(f"a* = m_k + k*eta^2*t = {astar!r} is not finite")
-        object.__setattr__(self, "astar", astar % 1.0 % 1.0)    # twice: -1e-20 % 1.0 is 1.0
+        object.__setattr__(self, "astar", _frac(astar))
 
 
 def norm_integral_Ia(params, a):
@@ -139,8 +139,7 @@ def rho_cyl_nd(params):
     The transverse Bargmann factors contribute (k/2pi) each and nothing
     else: the density is independent of the transverse coordinates.
     """
-    base = CylinderParams(eta=params.eta, alpha=params.alpha, k=params.k, t=params.t, n=1)
-    return (params.k / TWO_PI) ** (params.n - 1) * rho_cyl_poisson(base)
+    return (params.k / TWO_PI) ** (params.n - 1) * rho_cyl_poisson(params)
 
 
 def cyl_holonomy_phase(params, xi):

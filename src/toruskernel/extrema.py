@@ -39,7 +39,7 @@ import numpy as np
 from .errors import FitResidualTooLarge, InconsistentSystem, ValidationError, check_count
 from .intlin import extended_gcd_row, smith_normal_form
 from .kernel import DEFAULT_EPS, _check_grid, _check_power, _grid_values, _prepare
-from .lattice import (ENUM_CAP, TWO_PI, TorusPoint, _as_vector, _holonomy_turns,
+from .lattice import (ENUM_CAP, TWO_PI, TorusPoint, _as_vector, _frac, _holonomy_turns,
                       _nearest_distance, shells)
 
 REFINE_ITERS = 64      # damped Newton steps per extremum candidate
@@ -74,16 +74,15 @@ def solve_holonomy(torus, chi, target, mesh=8):
 
     The solutions are built as one coordinate array: the meshgrid Y of
     the choices (w_i mod 1 + j)/d_i on each pinned Smith row and j/mesh
-    on each free direction, mapped back by X = (Y V^T) mod 1.  TorusPoints
-    are made only for the sorted, distinct rows of X, by one matmul.
+    on each free direction, mapped back by X = (Y V^T) mod 1.  V is unimodular,
+    so distinct Y give rows of X at least 1/ENUM_CAP apart mod 1: no two coincide.
     """
     check_count(target.k, 1, "k")
     check_count(mesh, 1, "mesh")
-    vecs = [_as_vector(torus, v) for v in target.vectors]
-    m = len(vecs)
+    m = len(target.vectors)
     if len(target.targets) != m:
         raise ValidationError(f"{m} vectors need {m} holonomy targets, got {len(target.targets)}")
-    return _solve_holonomy(torus, chi, target.k, vecs, [target.targets], mesh)[0][0]
+    return _solve_holonomy(torus, chi, target.k, target.vectors, [target.targets], mesh)[0][0]
 
 
 def _solve_holonomy(torus, chi, k, vecs, target_sets, mesh):
@@ -91,7 +90,7 @@ def _solve_holonomy(torus, chi, k, vecs, target_sets, mesh):
     rows), from one Smith form and one array sorted with the tuple as primary key.  A set of
     prod d_i * mesh^(2n - rank) > ENUM_CAP points, counted in integers, raises ValidationError."""
     m, two_n = len(vecs), 2 * torus.n
-    C = np.array([v.coords for v in vecs], dtype=object).reshape(m, two_n)
+    C = np.array([_as_vector(torus, v) for v in vecs], dtype=object).reshape(m, two_n)
     M, phi = _holonomy_turns(torus, chi, k, C)
     U, D, V = smith_normal_form(M)
     rank = sum(1 for i in range(min(m, two_n)) if D[i, i] != 0)
@@ -119,8 +118,6 @@ def _solve_holonomy(torus, chi, k, vecs, target_sets, mesh):
     X = _round12((Y @ np.array(V, dtype=float).T) % 1.0) % 1.0
     order = np.lexsort((*X.T[::-1], s))
     X, s = X[order], s[order]
-    keep = np.r_[True, np.any(X[1:] != X[:-1], axis=1) | (s[1:] != s[:-1])]
-    X, s = X[keep], s[keep]
     points = TorusPoint._from_coord_rows(torus, X)
     free = tuple(tuple(int(V[j, i]) for j in range(two_n)) for i in range(rank, two_n))
     ends = np.searchsorted(s, np.arange(len(W) + 1)).tolist()
@@ -324,8 +321,7 @@ def pushforward_fit(torus, chi, k, v1):
     spectral peak is reported alongside, and a residual above 1e-6 of the
     fundamental amplitude raises FitResidualTooLarge.
     """
-    v1 = _as_vector(torus, v1)
-    row = _holonomy_turns(torus, chi, k, np.array(v1.coords, dtype=object))[0]
+    row = _holonomy_turns(torus, chi, k, _as_vector(torus, v1).astype(object))[0]
     if all(int(x) == 0 for x in row):
         raise ValidationError("v1 pairs trivially with the lattice; no circle map")
     lam, c_u, kernel = extended_gcd_row(row)
@@ -355,8 +351,7 @@ def pushforward_fit(torus, chi, k, v1):
             f"profile fit residual {resid:.3e} against amplitude {amplitude:.3e} "
             f"(spectral peak {measured}, predicted {lam})"
         )
-    # reduced twice: a tiny negative angle mod 1 rounds up to exactly 1.0
-    phase = (math.atan2(fundamental.imag, fundamental.real) / TWO_PI) % 1.0 % 1.0
+    phase = _frac(math.atan2(fundamental.imag, fundamental.real) / TWO_PI)
     return PushforwardFit(phase=phase, frequency=lam, measured_frequency=measured,
                           amplitude=amplitude, fiber_volume=nu, residual=resid / amplitude)
 
@@ -398,8 +393,7 @@ def compare_bundles(torus, chi_a, chi_b, k, resolution=32, eps=DEFAULT_EPS):
                                 witness=witness, recovered=None)
 
     loops = np.eye(2 * torus.n, dtype=np.int64)
-    phases = [np.mod(np.mod(-_holonomy_turns(torus, chi, k, loops)[1], 1.0), 1.0).tolist()
-              for chi in (chi_a, chi_b)]
+    phases = [_frac(-_holonomy_turns(torus, chi, k, loops)[1]).tolist() for chi in (chi_a, chi_b)]
     recovered = tuple(zip(*phases))
     agree = all(abs((pa - pb + 0.5) % 1.0 - 0.5) <= 1e-6 for pa, pb in recovered)
     verdict = "isomorphic_power" if agree else "distinct"

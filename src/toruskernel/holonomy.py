@@ -29,11 +29,10 @@ import numpy as np
 
 from .errors import ModulusMismatch, StepCountTooSmall, check_count
 from .lattice import (
-    LatticeVector,
     Semicharacter,
-    TorusPoint,
     _as_point,
     _as_vector,
+    _frac,
     _holonomy_turns,
     automorphy_factor,
     standard_torus,
@@ -50,7 +49,7 @@ RK4_BLOCK = 4096
 @dataclass(frozen=True)
 class HolonomyResult:
     value: complex
-    alpha: float          # phase in turns, reduced mod 1
+    alpha: float          # phase in turns, in [0, 1)
     method: str           # "closed_form" or "ode"
 
 
@@ -77,15 +76,17 @@ def hol_ode(torus, chi, k, p, v, steps=None):
     does an automorphy factor that is not finite and nonzero, before any step.
     """
     check_count(k, 1, "k")
-    p = _as_point(torus, p)
-    v = _as_vector(torus, v)
+    lift = torus.embed(_as_point(torus, p))
+    c = _as_vector(torus, v)
     with np.errstate(over="ignore", invalid="ignore"):       # an overflow is checked below
-        a = automorphy_factor(torus, chi, k, v.coords, p.lift)
+        a = automorphy_factor(torus, chi, k, c, lift)
     if not (cmath.isfinite(a) and a != 0):
-        raise ModulusMismatch(f"automorphy factor {a!r} of the {v.coords}-loop is out of range")
+        loop = tuple(c.tolist())
+        raise ModulusMismatch(f"automorphy factor {a!r} of the {loop}-loop is out of range")
     kpi = k * math.pi
-    a0 = kpi * torus.hermitian_pair(v.embedding, p.lift)
-    a1 = kpi * torus.hermitian_pair(v.embedding, v.embedding)
+    emb = torus.embed(c)
+    a0 = kpi * torus.hermitian_pair(emb, lift)
+    a1 = kpi * torus.hermitian_pair(emb, emb)
     if steps is None:
         steps = max(DEFAULT_ODE_STEPS, int(STEPS_PER_UNIT_RATE * (abs(a0) + abs(a1))) + 1)
     check_count(steps, 1, "steps")
@@ -108,7 +109,7 @@ def hol_ode(torus, chi, k, p, v, steps=None):
     if not abs(r - 1.0) <= 1e-6:
         raise ModulusMismatch(f"transport modulus off unit circle by {abs(r - 1.0):.3e}")
     hol = hol / r
-    alpha = (math.atan2(hol.imag, hol.real) / (2.0 * math.pi)) % 1.0
+    alpha = _frac(math.atan2(hol.imag, hol.real) / (2.0 * math.pi))
     return HolonomyResult(value=complex(hol), alpha=alpha, method="ode")
 
 
@@ -120,10 +121,8 @@ def calibration_report() -> CalibrationReport:
     conjugate of the +1 one; the one nearer RK4 names the sign, which
     must be ``HOL_SIGN``.  A margin below 0.5 raises ModulusMismatch."""
     torus = standard_torus(1j, 1)
-    p = TorusPoint.from_lift(torus, [0.25])
-    v = LatticeVector.from_coords(torus, [0, 1])
-    ref = hol_ode(torus, Semicharacter.trivial(1), 1, p, v, steps=DEFAULT_ODE_STEPS).value
-    plus = cmath.exp(2j * math.pi * torus.hermitian_pair(v.embedding, p.lift).imag)
+    ref = hol_ode(torus, Semicharacter.trivial(1), 1, [0.25], (0, 1), steps=DEFAULT_ODE_STEPS).value
+    plus = cmath.exp(2j * math.pi * torus.hermitian_pair(torus.embed([0, 1]), [0.25]).imag)
     mplus, mminus = abs(plus - ref), abs(plus.conjugate() - ref)
     if abs(mplus - mminus) < 0.5:
         raise ModulusMismatch(
@@ -140,10 +139,8 @@ def calibration_sign() -> int:
 def hol_closed(torus, chi, k, p, v):
     """Closed-form holonomy of the k-th bundle power around the v-loop at p."""
     check_count(k, 1, "k")
-    p = _as_point(torus, p)
-    v = _as_vector(torus, v)
-    A, phi = _holonomy_turns(torus, chi, k, np.array(v.coords))
-    turns = float(A @ np.array(p.coords)) - phi
+    A, phi = _holonomy_turns(torus, chi, k, _as_vector(torus, v))
+    turns = float(A @ _as_point(torus, p)) - phi
     value = complex(np.exp(2j * math.pi * turns))
-    return HolonomyResult(value=value, alpha=float(turns % 1.0), method="closed_form")
+    return HolonomyResult(value=value, alpha=_frac(turns), method="closed_form")
 

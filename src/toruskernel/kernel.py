@@ -215,16 +215,14 @@ def rho_diag(torus, chi, k, p, eps=DEFAULT_EPS, radius=None):
     is below eps, unless ``radius`` overrides it.
     """
     prep = _prepare(torus, chi, k, eps=eps, radius=radius)
-    p = _as_point(torus, p)
-    value = prep.density(np.asarray(p.coords))
+    value = prep.density(_as_point(torus, p))
     return SeriesResult(value=float(value), radius=prep.radius, tail=prep.tail, terms=prep.terms)
 
 
 def rho_gradient(torus, chi, k, p, eps=DEFAULT_EPS, radius=None):
     """Gradient of the truncated density in lattice coordinates."""
     prep = _prepare(torus, chi, k, eps=eps, radius=radius)
-    p = _as_point(torus, p)
-    return prep.gradient(np.asarray(p.coords))
+    return prep.gradient(_as_point(torus, p))
 
 
 def _check_grid(torus, resolution, least):
@@ -327,10 +325,9 @@ def offdiag_bound(torus, k, x, y, eps=DEFAULT_EPS, radius=None):
     """
     _check_power(k, eps)
     _check_integral(torus)
-    x = _as_point(torus, x)
-    y = _as_point(torus, y)
+    offset = _as_point(torus, y) - _as_point(torus, x)
     R = _series_radius(torus, k, eps, radius)
-    _, lengths = _enumerate_sorted(*torus._form(), R, offset=np.subtract(y.coords, x.coords))
+    _, lengths = _enumerate_sorted(*torus._form(), R, offset=offset)
     scale = (k / TWO_PI) ** torus.n
     value = scale * float(np.sum(np.exp(-0.25 * k * lengths ** 2)))
     return SeriesResult(value=value, radius=R, tail=tail_bound(torus, R, k),

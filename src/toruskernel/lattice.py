@@ -28,6 +28,7 @@ value after construction, so instances can be shared across threads.
 from __future__ import annotations
 
 import math
+import numbers
 import weakref
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -105,9 +106,11 @@ class PolarizedTorus:
     E: np.ndarray = field(init=False)
 
     def __post_init__(self):
+        check_count(self.n, 1, "n")
         n = int(self.n)
         basis = np.array(self.basis, dtype=complex)
         H = np.array(self.H, dtype=complex)
+        check_finite(basis.ravel().tolist() + H.ravel().tolist(), "basis and H")
         if basis.shape != (2 * n, n):
             raise ValueError(f"basis must have shape (2n, n) = {(2 * n, n)}, got {basis.shape}")
         if H.shape != (n, n):
@@ -146,8 +149,11 @@ class PolarizedTorus:
         return np.asarray(coords, dtype=float) @ self.basis
 
     def coords_from_lift(self, z):
-        """Real coordinates x with sum x_i lambda_i = z."""
-        z = np.asarray(z, dtype=complex).reshape(self.n)
+        """Real coordinates x with sum x_i lambda_i = z, for a z of n entries (ValidationError)."""
+        z = np.asarray(z, dtype=complex)
+        if z.size != self.n:
+            raise ValidationError(f"a lift needs {self.n} entries, got shape {z.shape}")
+        z = z.reshape(self.n)
         rhs = np.concatenate([z.real, z.imag])
         try:
             return np.linalg.solve(self._B_real, rhs)
@@ -188,12 +194,13 @@ def _check_length(torus, shape):
 
 
 def _integer_coords(torus, coords):
-    """``coords``, one row (2n,) or rows (t, 2n), as int64: 0.5 or NaN raise ValidationError,
-    never truncate.  Integer arrays skip the element test, so a hot path pays one dtype test."""
+    """``coords``, one row (2n,) or rows (t, 2n), as int64: 0.5, NaN or 2^63 raise ValidationError,
+    never truncate or wrap.  Signed integer arrays skip the element test, a hot path's one test."""
     C = np.asarray(coords)
     _check_length(torus, C.shape[-1:] if C.ndim <= 2 else C.shape)
-    if C.dtype.kind not in "iu" and not all(float(t).is_integer() for t in C.ravel()):
-        raise ValidationError(f"lattice coordinates must be integers, got {coords!r}")
+    if C.dtype.kind != "i" and not all(isinstance(t, numbers.Real) and -2 ** 63 <= t < 2 ** 63
+                                       and t == int(t) for t in C.ravel().tolist()):
+        raise ValidationError(f"lattice coordinates must be int64 integers, got {coords!r}")
     return C.astype(np.int64, copy=False)
 
 
@@ -207,9 +214,8 @@ class LatticeVector:
 
     @classmethod
     def from_coords(cls, torus, coords):
-        """Integer coordinates only: 0.5 or NaN raise, never truncate."""
-        c = _integer_coords(torus, coords)
-        _check_length(torus, c.shape)
+        """Integer coordinates only: 0.5, NaN or 2^63 raise, never truncate."""
+        c = _as_vector(torus, coords)
         emb = torus.embed(c)
         emb.setflags(write=False)
         q = float(c @ torus.gram @ c)
@@ -225,44 +231,45 @@ class Semicharacter:
     def __post_init__(self):
         p = tuple(float(x) for x in self.phases)
         check_finite(p, "semicharacter phases")
-        object.__setattr__(self, "phases", tuple(x % 1.0 for x in p))
+        object.__setattr__(self, "phases", tuple(map(_frac, p)))
 
     @classmethod
     def trivial(cls, n):
         return cls(phases=(0.0,) * (2 * n))
 
 
+def _frac(x):
+    """x mod 1 in [0, 1) for a float or an array, the one rule behind every value documented
+    as reduced mod 1: a tiny negative x mod 1 rounds up to exactly 1.0, so x is reduced twice."""
+    return x % 1.0 % 1.0
+
+
 @dataclass(frozen=True, eq=False)
 class TorusPoint:
-    """A point of the torus: coordinates reduced into [0, 1) and their embedding as the lift.
-    x mod 1 rounds up to 1.0 for a tiny negative x, so x is reduced twice."""
+    """A point of the torus: its coordinates reduced into [0, 1), and their embedding as
+    the lift.  Readers take the coordinates and embed them on their own torus."""
 
     lift: np.ndarray
     coords: tuple
 
     @classmethod
     def from_coords(cls, torus, coords):
-        x = np.asarray(coords, dtype=float)
-        _check_length(torus, x.shape)
-        check_finite(x.tolist(), "point coordinates")
-        x = np.mod(np.mod(x, 1.0), 1.0)
+        x = _reduced_coords(torus, coords)
         lift = torus.embed(x)
         lift.setflags(write=False)
         return cls(lift=lift, coords=tuple(x.tolist()))
 
     @classmethod
     def _from_coord_rows(cls, torus, X):
-        """``from_coords`` on each row of a finite (m, 2n) array, all lifts from one matmul."""
-        X = np.mod(np.mod(X, 1.0), 1.0)
+        """``from_coords`` on the rows of a finite (m, 2n) array, but the lifts of one matmul
+        may differ from ``from_coords`` lifts in the last bits; no reader reads them."""
+        X = _frac(X)
         lifts = torus.embed(X)
         lifts.setflags(write=False)
         return tuple(map(cls, lifts, map(tuple, X.tolist())))
 
     @classmethod
     def from_lift(cls, torus, z):
-        z = np.asarray(z, dtype=complex)
-        if z.size != torus.n:
-            raise ValidationError(f"a lift needs {torus.n} entries, got shape {z.shape}")
         return cls.from_coords(torus, torus.coords_from_lift(z))
 
     @classmethod
@@ -270,20 +277,30 @@ class TorusPoint:
         return cls.from_coords(torus, np.zeros(2 * torus.n))
 
 
+def _reduced_coords(torus, coords):
+    """Finite coordinates of one point as the float64 row (2n,), reduced by ``_frac``."""
+    x = np.asarray(coords, dtype=float)
+    _check_length(torus, x.shape)
+    check_finite(x.tolist(), "point coordinates")
+    return _frac(x)
+
+
 def _as_point(torus, p):
-    """A TorusPoint of 2n coordinates as is, anything else read as a lift in C^n."""
-    if isinstance(p, TorusPoint):
-        _check_length(torus, (len(p.coords),))
-        return p
-    return TorusPoint.from_lift(torus, p)
+    """A point's reduced coordinates as the float64 row (2n,): a TorusPoint's ``coords``,
+    anything else read as a lift in C^n of a point of ``torus``."""
+    if not isinstance(p, TorusPoint):
+        return _reduced_coords(torus, torus.coords_from_lift(p))
+    x = np.array(p.coords)
+    _check_length(torus, x.shape)
+    return x
 
 
 def _as_vector(torus, v):
-    """A LatticeVector of 2n coordinates as is, anything else read as integer coordinates."""
-    if isinstance(v, LatticeVector):
-        _check_length(torus, (len(v.coords),))
-        return v
-    return LatticeVector.from_coords(torus, v)
+    """A loop's integer coordinates as the int64 row (2n,): a LatticeVector's ``coords``,
+    anything else read as integer coordinates."""
+    c = _integer_coords(torus, v.coords if isinstance(v, LatticeVector) else v)
+    _check_length(torus, c.shape)
+    return c
 
 
 class ValidationReport(NamedTuple):
@@ -592,11 +609,12 @@ def automorphy_factor(torus, chi, k, coords, z):
     shape (P, n) gives P multipliers with one chi phase; others a complex.
     """
     check_count(k, 1, "k")
-    lam = LatticeVector.from_coords(torus, coords).embedding
+    c = _as_vector(torus, coords)
+    lam = torus.embed(c)
     z = np.asarray(z, dtype=complex)
     hzl = (z if z.ndim == 2 else z.reshape(1, torus.n)) @ torus.H @ lam.conj()
     hll = torus.hermitian_pair(lam, lam)
-    turns = k * chi_phase_turns(chi, torus, coords)
+    turns = k * chi_phase_turns(chi, torus, c)
     out = np.exp(2j * math.pi * turns) * np.exp(k * math.pi * hzl + 0.5 * k * math.pi * hll)
     return out if z.ndim == 2 else complex(out[0])
 
@@ -610,7 +628,6 @@ def standard_torus(tau, d=1):
     The polarization then has E(lambda_1, lambda_2) = -d, so |Pf(E)| = d.
     """
     tau = complex(tau)
-    check_finite((tau,), "tau")
     if tau.imag <= 0:
         raise ValidationError(f"tau must have positive imaginary part, got {tau!r}")
     return PolarizedTorus(n=1, basis=[[1.0], [tau]], H=[[d / tau.imag]])

@@ -216,7 +216,7 @@ def build_gram(basis, quad_res=128):
 
 def rho_oracle(basis, gram, p):
     """Bergman density at a torus point from the section basis."""
-    z = complex(_as_point(basis.torus, p).lift[0])
+    z = complex(basis.torus.embed(_as_point(basis.torus, p))[0])
     F = basis.evaluate(z)
     val = float(np.real(F.conj() @ (gram.inverse @ F)))
     return val * float(basis.weight(z))
@@ -224,8 +224,7 @@ def rho_oracle(basis, gram, p):
 
 def offdiag_oracle(basis, gram, x, y):
     """|K_k(x, y)| with the symmetric weight normalization."""
-    zx = complex(_as_point(basis.torus, x).lift[0])
-    zy = complex(_as_point(basis.torus, y).lift[0])
+    zx, zy = (complex(basis.torus.embed(_as_point(basis.torus, q))[0]) for q in (x, y))
     Fx = basis.evaluate(zx)
     Fy = basis.evaluate(zy)
     val = abs(Fy.conj() @ (gram.inverse @ Fx))

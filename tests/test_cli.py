@@ -205,6 +205,7 @@ def test_unknown_command_exits():
     ("rho", ["--point", "0.25,0.5", "--k", "abc"]),
     # k^2 predicted points of each kind, above ENUM_CAP
     ("extrema", ["--k", "1000000000"]), ("extrema", ["--k", "1000000000000000000"]),
+    ("hol", ["--point", "0,0", "--vector", "1180591620717411303424,0"]),
 ])
 def test_bad_power_or_eps_exits_1_without_traceback(tmp_path, command, flags):
     """A fresh interpreter, so a hang shows as a timeout and a traceback
@@ -218,6 +219,29 @@ def test_bad_power_or_eps_exits_1_without_traceback(tmp_path, command, flags):
     assert "ValidationError" in proc.stderr
     assert "unrecognized arguments" not in proc.stderr
     assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
+
+
+@pytest.mark.parametrize("command,overrides,infinity", [
+    ("validate", {"n": True}, "Infinity"), ("rho", {"n": True}, "Infinity"),
+    ("validate", {"k": True}, "Infinity"),
+    ("validate", {"H": [[{"re": math.nan, "im": 0.0}]]}, "Infinity"),
+    ("rho", {"basis": [[math.inf, 0.0], [0.0, 1.0]]}, "Infinity"),
+    ("validate", {"basis": [[1.0, 0.0], [0.0, math.inf]]}, "1e400"),
+], ids=["validate-n-true", "rho-n-true", "validate-k-true", "validate-H-nan", "rho-basis-inf",
+        "validate-basis-1e400"])
+def test_malformed_config_exits_1_without_traceback(tmp_path, command, overrides, infinity):
+    """A bool n ended in a TypeError traceback and a bool k was accepted; a non-finite basis
+    or H made validate print pfaffian_abs = 2**63 and rho end in an IndexError traceback."""
+    cfg = write_config(tmp_path, **overrides)
+    with open(cfg) as fh:
+        text = fh.read().replace("Infinity", infinity)
+    with open(cfg, "w") as fh:
+        fh.write(text)
+    point = ["--point", "0.25,0.5"] if command == "rho" else []
+    proc = run_cli([command, "--config", cfg, *point])
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("ConfigParseError: ") and "Traceback" not in proc.stderr
     assert proc.stdout == ""
 
 

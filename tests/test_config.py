@@ -1,6 +1,7 @@
 """JSON bundle config parsing."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -55,6 +56,11 @@ def test_nested_basis_form_accepted():
     lambda d: d.update(basis=[[1.0, "x"], [0.0, 1.0]]),
     lambda d: d.update(H=[[1.0]]),
     lambda d: d.update(H=[[{"re": 1.0}]]),
+    lambda d: d.update(n=True),
+    lambda d: d.update(k=True),
+    lambda d: d.update(H=[[{"re": math.nan, "im": 0.0}]]),
+    lambda d: d.update(basis=[[math.inf, 0.0], [0.0, 1.0]]),
+    lambda d: d.update(basis=json.loads("[[1.0, 0.0], [0.0, 1e400]]")),
 ])
 def test_malformed_configs_rejected(mutate):
     data = _sq1_dict()

@@ -43,6 +43,7 @@ COUNTS = [
     ("CylinderParams", "k", 1, 2, lambda v: tk.CylinderParams(eta=1.0, alpha=0.25, k=v)),
     ("CylinderParams", "n", 1, 2,
      lambda v: tk.CylinderParams(eta=1.0, alpha=0.25, k=1, n=v)),
+    ("PolarizedTorus", "n", 1, 1, lambda v: tk.PolarizedTorus(n=v, basis=SQ1.basis, H=SQ1.H)),
 ]
 IDS = [f"{call}-{arg}" for call, arg, *_ in COUNTS]
 
@@ -90,6 +91,18 @@ def test_cylinder_rejects_nan(field):
 def test_standard_torus_rejects_bad_tau(tau):
     with pytest.raises(tk.ValidationError):
         tk.standard_torus(tau, 1)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: tk.standard_torus(1j, math.nan), lambda: tk.standard_torus(1j, math.inf),
+    lambda: tk.PolarizedTorus(n=1, basis=[[1.0], [complex(0.0, math.inf)]], H=[[1.0]]),
+    lambda: tk.PolarizedTorus(n=1, basis=[[1.0], [1j]], H=[[complex(math.nan, 0.0)]]),
+], ids=["d-nan", "d-inf", "basis-inf", "H-nan"])
+def test_non_finite_torus_data_is_a_validation_error(make):
+    """These made validate report pfaffian_abs = 2**63 and volume = nan, and rho end in an
+    IndexError from the shortest loop length."""
+    with pytest.raises(tk.ValidationError, match="finite"):
+        make()
 
 
 def test_wrong_length_points_and_vectors():
@@ -156,8 +169,10 @@ LOOP_VECTOR_CALLS = [
 @pytest.mark.parametrize("call,run", LOOP_VECTOR_CALLS, ids=[c for c, _ in LOOP_VECTOR_CALLS])
 def test_non_integral_loop_vector_is_a_validation_error(call, run):
     """(0.5, 1.7) used to be truncated to (0, 1) and answered for that
-    loop; an integral float such as 1.0 is still a loop coordinate."""
-    for v in ((0.5, 1.7), (math.nan, 1), (math.inf, 0), (1, 1e-9), np.array([0.5, 1], dtype=object)):
+    loop, 2**70 ended in a bare OverflowError, and 2**63 and 1e30 wrapped
+    round to -2**63; an integral float such as 1.0 is still a loop coordinate."""
+    for v in ((0.5, 1.7), (math.nan, 1), (math.inf, 0), (1, 1e-9), np.array([0.5, 1], dtype=object),
+              (2 ** 70, 0), (2 ** 63, 0), (-2 ** 63 - 1, 0), (1e30, 0), (1j, 0)):
         with pytest.raises(tk.ValidationError, match="integers"):
             run(v)
     run((0.0, 1.0))

@@ -288,3 +288,82 @@ def test_far_points_print_what_the_reduced_point_prints(tmp_path, flags, far):
     assert got.returncode == want.returncode == 0
     assert got.stdout == want.stdout and "nan" not in got.stdout
     assert got.stderr == ""
+
+
+# a value within 1e-20 below an integer, or the least negative float
+_BELOW_INT = st.one_of(st.builds(lambda n, d: n - d, st.integers(-3, 3), st.floats(0.0, 1e-20)),
+                       st.just(-5e-324))
+_EDGE_COORD = st.one_of(_BELOW_INT, st.sampled_from([1e300, -1e300]))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(c=_EDGE_COORD, phase=_BELOW_INT, t=_EDGE_COORD)
+@example(c=-1e-20, phase=-1e-20, t=-1e-20)
+@example(c=1e300, phase=-5e-324, t=-5e-324)
+def test_reduced_outputs_lie_in_the_unit_interval(c, phase, t):
+    """Each value documented as reduced mod 1 lies in [0, 1): a phase of -1e-20 used to be
+    kept as 1.0, and the turn -1e-20 of chi = (1e-20, 0) used to give alpha = 1.0."""
+    chi = tk.Semicharacter((phase, 0.0))
+    p = tk.TorusPoint.from_coords(SQ1, (c, 0.0))
+    rows = tk.TorusPoint._from_coord_rows(SQ1, np.array([[c, 0.0]]))[0]
+    twist = tk.Semicharacter((-phase, 0.0))        # its loop (1, 0) turns by phase at 0
+    reduced = {
+        "from_coords": p.coords, "_from_coord_rows": rows.coords, "phases": chi.phases,
+        "hol_closed": [tk.hol_closed(SQ1, twist, 1, p, (1, 0)).alpha],
+        "hol_ode": [tk.hol_ode(SQ1, twist, 1, p, (1, 0)).alpha],
+        "pushforward_fit": [tk.pushforward_fit(SQ1, twist, 1, (1, 0)).phase],
+        "recovered": sum(tk.compare_bundles(SQ1, twist, twist, 1, 4).recovered, ()),
+        "astar": [tk.CylinderParams(eta=1.0, alpha=0.0, k=1, t=t).astar],
+    }
+    for name, values in reduced.items():
+        assert all(0.0 <= x < 1.0 for x in values), (name, values)
+
+
+def _cross_torus_routes(torus, chi, p):
+    """The holonomy routes, and on an n = 1 torus the density routes, at p."""
+    out = {"hol_closed": tk.hol_closed(torus, chi, 2, p, (1,) + (0,) * (2 * torus.n - 1)),
+           "hol_ode": tk.hol_ode(torus, chi, 2, p, (1,) + (0,) * (2 * torus.n - 1))}
+    if torus.n == 1:
+        basis = tk.build_basis(complex(torus.basis[1, 0]), 1, chi, 2)
+        out["rho_diag"] = tk.rho_diag(torus, chi, 2, p).value
+        out["rho_oracle"] = tk.rho_oracle(basis, tk.build_gram(basis), p)
+    return out
+
+
+@pytest.mark.parametrize("source,target", [(SQ1, SKEW), (PRODUCT, GENERIC)],
+                         ids=["sq1-on-skew", "product-on-generic"])
+def test_a_point_is_read_by_its_coordinates_on_any_torus(source, target):
+    """A point built on another torus of the same dimension is read by its coordinates on
+    the torus at hand.  hol_ode and the oracle used to read its source lift, so on the skew
+    torus (0.3, 0.6) gave alpha 0.2 against the closed form's 0.1, and rho_oracle 0.20975
+    against rho_diag's 0.22448."""
+    rng = np.random.default_rng(23)
+    chi = tk.Semicharacter(tuple(rng.random(2 * target.n)))
+    for x in [(0.3, 0.6, 0.1, 0.8)[:2 * target.n]] + list(rng.random((4, 2 * target.n))):
+        p = tk.TorusPoint.from_coords(source, x)
+        got = _cross_torus_routes(target, chi, p)
+        want = _cross_torus_routes(target, chi, tk.TorusPoint.from_coords(target, p.coords))
+        assert _bits([got["hol_closed"].value, got["hol_ode"].value]) == \
+            _bits([want["hol_closed"].value, want["hol_ode"].value])
+        assert abs(got["hol_closed"].value - got["hol_ode"].value) < 1e-8
+        if target.n == 1:
+            assert _bits([got["rho_diag"], got["rho_oracle"]]) == \
+                _bits([want["rho_diag"], want["rho_oracle"]])
+            assert abs(got["rho_oracle"] - got["rho_diag"]) <= 1e-7 * got["rho_diag"]
+
+
+@pytest.mark.parametrize("torus,phases", [(SKEW, CHI.phases), (PRODUCT, (0.2, 0.7, 0.4, 0.1)),
+                                          (GENERIC, (0.11, 0.52, 0.73, 0.29))],
+                         ids=["skew", "product", "generic"])
+def test_extremum_locations_read_as_their_coordinates(torus, phases):
+    """Extremum and predicted points are built in one batch, whose lifts differ from
+    ``from_coords`` lifts in the last bits; every route reads the coordinates alone."""
+    chi = tk.Semicharacter(phases)
+    v = (1,) + (0,) * (2 * torus.n - 1)
+    for rep in tk.find_extrema(torus, chi, 2, resolution=16):
+        for p in rep.tied_locations + rep.predicted[:8]:
+            q = tk.TorusPoint.from_coords(torus, p.coords)
+            got, want = tk.hol_ode(torus, chi, 2, p, v), tk.hol_ode(torus, chi, 2, q, v)
+            assert _bits(got.value) == _bits(want.value) and got.alpha == want.alpha
+            if torus.n == 1:
+                assert _bits(tk.rho_oracle(BASIS, GRAM, p)) == _bits(tk.rho_oracle(BASIS, GRAM, q))
