@@ -18,6 +18,7 @@ Schema (exact field names)::
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,11 +34,17 @@ class BundleConfig:
     k: int
 
 
+def _number(x, where):
+    """float(x) for a finite int or float x, not a bool; anything else raises ConfigParseError."""
+    if isinstance(x, bool) or not isinstance(x, (int, float)) or not abs(x) <= sys.float_info.max:
+        raise ConfigParseError(f"{where}: expected a finite number, got {x!r}")
+    return float(x)
+
+
 def _parse_pair(entry, where):
-    if (not isinstance(entry, (list, tuple)) or len(entry) != 2
-            or not all(isinstance(x, (int, float)) for x in entry)):
+    if not isinstance(entry, (list, tuple)) or len(entry) != 2:
         raise ConfigParseError(f"{where}: expected a [re, im] pair, got {entry!r}")
-    return complex(float(entry[0]), float(entry[1]))
+    return complex(_number(entry[0], where), _number(entry[1], where))
 
 
 def _parse_basis(raw, n):
@@ -45,9 +52,8 @@ def _parse_basis(raw, n):
         raise ConfigParseError(f"basis must list 2n = {2 * n} vectors")
     out = np.zeros((2 * n, n), dtype=complex)
     for i, entry in enumerate(raw):
-        if n == 1 and len(entry) == 2 and not isinstance(entry[0], (list, tuple)):
-            out[i, 0] = _parse_pair(entry, f"basis[{i}]")
-            continue
+        if n == 1 and isinstance(entry, list) and entry and not isinstance(entry[0], list):
+            entry = [entry]                             # the single [re, im] pair of n = 1
         if not isinstance(entry, list) or len(entry) != n:
             raise ConfigParseError(f"basis[{i}] must list n = {n} [re, im] pairs")
         for j, pair in enumerate(entry):
@@ -65,7 +71,7 @@ def _parse_H(raw, n):
         for j, cell in enumerate(row):
             if not isinstance(cell, dict) or set(cell) != {"re", "im"}:
                 raise ConfigParseError(f'H[{i}][{j}] must be {{"re": ..., "im": ...}}')
-            out[i, j] = complex(float(cell["re"]), float(cell["im"]))
+            out[i, j] = _parse_pair([cell["re"], cell["im"]], f"H[{i}][{j}]")
     return out
 
 
@@ -79,16 +85,15 @@ def parse_bundle(data) -> BundleConfig:
     for name in ("n", "k"):
         if isinstance(data[name], bool) or not isinstance(data[name], int) or data[name] < 1:
             raise ConfigParseError(f"{name} must be a positive integer")
-    n, k = data["n"], data["k"]
-    phases = data["chi_phases"]
-    if (not isinstance(phases, list) or len(phases) != 2 * n
-            or not all(isinstance(x, (int, float)) for x in phases)):
+    n, k, phases = data["n"], data["k"], data["chi_phases"]
+    if not isinstance(phases, list) or len(phases) != 2 * n:
         raise ConfigParseError(f"chi_phases must list 2n = {2 * n} reals")
+    phases = tuple(_number(x, f"chi_phases[{i}]") for i, x in enumerate(phases))
     try:
         torus = PolarizedTorus(n=n, basis=_parse_basis(data["basis"], n), H=_parse_H(data["H"], n))
-    except (ValueError, ValidationError) as exc:
+    except ValidationError as exc:
         raise ConfigParseError(str(exc))
-    return BundleConfig(torus=torus, chi=Semicharacter(phases=tuple(phases)), k=k)
+    return BundleConfig(torus=torus, chi=Semicharacter(phases=phases), k=k)
 
 
 def load_bundle(path) -> BundleConfig:

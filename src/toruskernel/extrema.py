@@ -38,7 +38,8 @@ import numpy as np
 
 from .errors import FitResidualTooLarge, InconsistentSystem, ValidationError, check_count
 from .intlin import extended_gcd_row, smith_normal_form
-from .kernel import DEFAULT_EPS, _check_grid, _check_power, _grid_values, _prepare
+from .kernel import (DEFAULT_EPS, GRID_CAP, _check_grid, _check_power, _grid_loop, _grid_values,
+                     _prepare)
 from .lattice import (ENUM_CAP, TWO_PI, TorusPoint, _as_vector, _frac, _holonomy_turns,
                       _nearest_distance, shells)
 
@@ -310,16 +311,15 @@ class PushforwardFit:
 def pushforward_fit(torus, chi, k, v1):
     """Recover the holonomy phase of the v1-loop from the density alone.
 
-    The quotient circle is parameterized through a generator u with
-    A_v1 u = lam = content of the integer row A_v1 = k*s*(E(v1, lambda_j))_j
-    of ``_holonomy_turns``.  Over the fiber, the subtorus spanned by W, an
-    integer kernel basis of that row, loop v integrates to 0 unless
-    A_v W = 0, so the profile is the exact sum of w_v cos(2*pi*(t A_v u -
-    chi_v)) over those loops, at T = max(64, 8*lam) points, so the
-    harmonics m*lam, m <= FIT_HARMONICS, are exact bins of its real FFT.
-    The fit is those bins: the fundamental gives the phase, the measured
-    spectral peak is reported alongside, and a residual above 1e-6 of the
-    fundamental amplitude raises FitResidualTooLarge.
+    The quotient circle is parameterized through a generator u with A_v1 u = lam = content
+    of the integer row A_v1 = k*s*(E(v1, lambda_j))_j of ``_holonomy_turns``.  Over the fiber,
+    the subtorus spanned by W, an integer kernel basis of that row, loop v integrates to 0
+    unless A_v W = 0, so the profile is the exact sum of w_v cos(2*pi*(t A_v u - chi_v)) over
+    those loops: the loop grid of their coefficients at the frequencies A_v u, on T =
+    max(64, 8*lam) points (at most GRID_CAP), so the harmonics m*lam, m <= FIT_HARMONICS, are
+    exact bins of its real FFT.  The fit is those bins: the fundamental gives the phase, the
+    measured spectral peak is reported alongside, and a residual above 1e-6 of the fundamental
+    amplitude raises FitResidualTooLarge.
     """
     row = _holonomy_turns(torus, chi, k, _as_vector(torus, v1).astype(object))[0]
     if all(int(x) == 0 for x in row):
@@ -331,12 +331,13 @@ def pushforward_fit(torus, chi, k, v1):
     nu = math.sqrt(max(float(np.linalg.det(np.atleast_2d(fiber_gram))), 0.0))
 
     T = max(64, 8 * lam)
+    if T > GRID_CAP:
+        raise ValidationError(f"a profile of {T} points is above GRID_CAP = {GRID_CAP}")
     prep = _prepare(torus, chi, k, eps=1e-12)
 
-    keep = np.all(prep.A @ W == 0, axis=1)
+    keep = np.all(prep.A @ W == 0, axis=1)          # closed under v -> -v
     freqs = prep.A[keep] @ np.array(c_u, dtype=np.int64)
-    turns = np.mod(np.outer(np.arange(T), freqs), T) / T - prep.chi_turns[keep]
-    profile = nu * (np.cos(TWO_PI * turns) @ prep.weights[keep])
+    profile = nu * _grid_loop(freqs[:, None], prep.coeffs(keep), T)
 
     spectrum = np.fft.rfft(profile)
     fundamental = 2.0 / T * complex(spectrum[lam])
@@ -373,19 +374,18 @@ class BundleComparison:
 def compare_bundles(torus, chi_a, chi_b, k, resolution=32, eps=DEFAULT_EPS):
     """Decide whether two bundles have the same k-th power density.
 
-    A grid maximum of |rho_a - rho_b| above the certified series error
-    is a witness of distinct powers.  Below it, the k-th power holonomies -phi mod 1 of
+    A grid maximum of |rho_a - rho_b|, one loop grid of c_a - c_b, above the certified series
+    error is a witness of distinct powers.  Below it, the k-th power holonomies -phi mod 1 of
     ``_holonomy_turns`` on the basis loops at 0 (``pushforward_recover`` approximates them)
     are compared; agreement means the powers are isomorphic even when the bundles differ.
     """
     _check_grid(torus, resolution, 2)
     prep_a = _prepare(torus, chi_a, k, eps=eps)
     prep_b = _prepare(torus, chi_b, k, eps=eps)
-    va = _grid_values(prep_a, resolution)
-    vb = _grid_values(prep_b, resolution)
-    diff = np.abs(va - vb)
+    # one torus, k and eps give one radius and one sorted enumeration, so one A for both sums
+    diff = np.abs(_grid_loop(prep_a.A, prep_a.coeffs() - prep_b.coeffs(), resolution))
     idx = np.unravel_index(int(np.argmax(diff)), diff.shape)
-    max_diff = float(diff[idx])
+    max_diff = prep_a.scale * float(diff[idx])
     threshold = prep_a.scale * (prep_a.tail + prep_b.tail) + 1e-10 * prep_a.scale
     if max_diff > threshold:
         witness = TorusPoint.from_coords(torus, np.array(idx, dtype=float) / resolution)

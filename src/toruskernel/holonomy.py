@@ -137,10 +137,10 @@ def calibration_sign() -> int:
 
 
 def hol_closed(torus, chi, k, p, v):
-    """Closed-form holonomy of the k-th bundle power around the v-loop at p."""
+    """Closed-form holonomy of the k-th power around the v-loop at p, from its reduced turn."""
     check_count(k, 1, "k")
     A, phi = _holonomy_turns(torus, chi, k, _as_vector(torus, v))
-    turns = float(A @ _as_point(torus, p)) - phi
-    value = complex(np.exp(2j * math.pi * turns))
-    return HolonomyResult(value=value, alpha=_frac(turns), method="closed_form")
+    alpha = _frac(float(A @ _as_point(torus, p)) - phi)
+    value = complex(np.exp(2j * math.pi * alpha))
+    return HolonomyResult(value=value, alpha=alpha, method="closed_form")
 

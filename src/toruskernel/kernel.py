@@ -19,12 +19,12 @@ point.  A SeriesResult therefore certifies
 
     value - tail*(k/2pi)^n <= true density <= value + tail*(k/2pi)^n.
 
-On the grid j/r, j in (Z/r)^(2n), only A_v mod r of each integer
-frequency A_v = k*s*E(v, .) matters, so a whole grid is one scatter of
-w_v exp(-2*pi*i*chi_v) into bin A_v mod r plus one inverse FFT, with the
-phases A_v . j reduced in integers: O(terms + r^(2n) log r), exact at any k.
-As +-v have conjugate coefficients, only bins with last index <= r/2 are
-scattered, into a half spectrum (r,)*(2n-1) + (r//2 + 1,), for a real FFT.
+In lattice coordinates the sum is scale*(1 + Re sum_v c_v exp(2*pi*i A_v . x)), with integer
+A_v = k*s*E(v, .) and c_v = w_v exp(-2*pi*i*chi_v) (``_PreparedSum.coeffs``).  On the grid
+j/r only A_v mod r matters: ``_grid_loop`` scatters c_v into bin A_v mod r of a half spectrum
+(r,)*(m-1) + (r//2 + 1,), enough as +-v have conjugate coefficients, and runs one real inverse
+FFT, O(terms + r^m log r) and exact at any k.  The density grid, its mean, the difference of
+two bundles' densities and the pushforward profile all go through it.
 
 The truncation-radius policy (grow-then-bisect to the minimal R with
 tail_bound(R, k) <= eps) is a choice of this module.  Every sum is
@@ -158,6 +158,9 @@ class _PreparedSum:
         self._Af = self.A.astype(float)
         self.tail = tail_bound(torus, radius, k)
 
+    def coeffs(self, rows=slice(None)):
+        return self.weights[rows] * np.exp(-2j * np.pi * np.mod(self.chi_turns[rows], 1.0))
+
     def _turns(self, coords):
         return _rowwise(np.asarray(coords, dtype=float), self._Af.T) - self.chi_turns
 
@@ -233,22 +236,24 @@ def _check_grid(torus, resolution, least):
 
 
 def _grid_mean(prep, resolution):
-    """Mean of ``_grid_values(prep, resolution)``, the zero bin alone: over
-    j/r a loop averages to 0 unless A_v = 0 mod r."""
+    """Mean of ``_grid_values``, the zero bin: a loop averages to 0 over j/r unless r | A_v."""
     zero = np.all(np.mod(prep.A, resolution) == 0, axis=1)
-    turns = np.mod(prep.chi_turns[zero], 1.0)
-    return prep.scale * (1.0 + float(np.cos(TWO_PI * turns) @ prep.weights[zero]))
+    return prep.scale * (1.0 + float(np.sum(prep.coeffs(zero).real)))
+
+
+def _grid_loop(A, coeffs, r):
+    """sum_v Re(c_v exp(2*pi*i A_v . j/r)) on the grid j in (Z/r)^m, m = A.shape[1], for loops
+    closed under v -> -v with conjugate coefficients (see the module docstring)."""
+    m = A.shape[1]
+    half = np.mod(A[:, -1], r) <= r // 2
+    spectrum = np.zeros((r,) * (m - 1) + (r // 2 + 1,), dtype=complex)
+    np.add.at(spectrum, tuple(np.mod(A[half], r).T), coeffs[half])
+    return r ** m * np.fft.irfftn(spectrum, s=(r,) * m, axes=tuple(range(m)))
 
 
 def _grid_values(prep, resolution):
-    """Density on the grid j/r by one scatter of w_v exp(-2*pi*i*chi_v)
-    into the half spectrum and one real inverse FFT (see the module docstring)."""
-    r, m = resolution, 2 * prep.torus.n
-    half = np.mod(prep.A[:, -1], r) <= r // 2
-    spectrum = np.zeros((r,) * (m - 1) + (r // 2 + 1,), dtype=complex)
-    coeffs = prep.weights[half] * np.exp(-2j * np.pi * np.mod(prep.chi_turns[half], 1.0))
-    np.add.at(spectrum, tuple(np.mod(prep.A[half], r).T), coeffs)
-    return prep.scale * (1.0 + r ** m * np.fft.irfftn(spectrum, s=(r,) * m, axes=tuple(range(m))))
+    """Density on the grid j/r: the loop grid of the prepared sum's coefficients."""
+    return prep.scale * (1.0 + _grid_loop(prep.A, prep.coeffs(), resolution))
 
 
 @dataclass(frozen=True, eq=False)

@@ -108,13 +108,14 @@ class PolarizedTorus:
     def __post_init__(self):
         check_count(self.n, 1, "n")
         n = int(self.n)
-        basis = np.array(self.basis, dtype=complex)
-        H = np.array(self.H, dtype=complex)
+        try:
+            basis, H = np.array(self.basis, dtype=complex), np.array(self.H, dtype=complex)
+        except (TypeError, ValueError) as exc:
+            raise ValidationError(f"basis and H must be complex arrays: {exc}")
         check_finite(basis.ravel().tolist() + H.ravel().tolist(), "basis and H")
-        if basis.shape != (2 * n, n):
-            raise ValueError(f"basis must have shape (2n, n) = {(2 * n, n)}, got {basis.shape}")
-        if H.shape != (n, n):
-            raise ValueError(f"H must have shape (n, n) = {(n, n)}, got {H.shape}")
+        if basis.shape != (2 * n, n) or H.shape != (n, n):
+            raise ValidationError(f"basis and H must have shapes (2n, n) and (n, n) for n = {n}, "
+                                  f"got {basis.shape} and {H.shape}")
         basis.setflags(write=False)
         H.setflags(write=False)
         pair = basis @ H @ basis.conj().T           # pair[i, j] = H(lambda_i, lambda_j)
@@ -136,6 +137,7 @@ class PolarizedTorus:
         object.__setattr__(self, "basis", basis)
         object.__setattr__(self, "H", H)
         object.__setattr__(self, "E", E)
+        object.__setattr__(self, "_E_abs_sum", int(np.abs(E).sum()))     # read by _holonomy_turns
         object.__setattr__(self, "_integrality_residual", float(np.max(np.abs(E_float - E))))
         object.__setattr__(self, "gram", G)
         object.__setattr__(self, "_B_real", B_real)
@@ -589,15 +591,15 @@ def chi_phase_turns(chi, torus, coords):
 
 
 def _holonomy_turns(torus, chi, k, C):
-    """The k-th power holonomy on the loops with integer coordinates C, as (A, phi): the turn
-    at lattice coordinates x is A . x - phi, A = k*s*(C E) in C's integer type and
-    phi = k*chi_phase_turns(C), so it depends on x mod 1 alone.  A k that would carry an
-    int64 A past its range raises ValidationError; an object C keeps A exact."""
-    CE = C @ torus.E
-    top = max(CE.max(initial=0), -CE.min(initial=0))    # no |CE| temporary
-    if CE.dtype != object and int(k) * int(top) >= 2 ** 63:
-        raise ValidationError(f"k = {k} carries the loop coefficients k*(C E) past int64")
-    return (k * HOL_SIGN) * CE, k * chi_phase_turns(chi, torus, C)
+    """The k-th power holonomy on the loops with integer coordinates C, as (A, phi): the turn at
+    lattice coordinates x is A . x - phi, A = k*s*(C E) in C's integer type (exact for an object
+    C) and phi = k*chi_phase_turns(C), so it depends on x mod 1 alone.  For an int64 C, a bound
+    k*max(1, |C| @ |E|) >= 2^63 on k, A and its partial sums raises ValidationError."""
+    top = max(int(C.max(initial=1)), -int(C.min(initial=0))) * torus._E_abs_sum
+    if C.dtype != object and int(k) * top >= 2 ** 63:      # max|C| * sum|E| is at least the bound
+        if int(k) * np.max(np.abs(C.astype(object)) @ np.abs(torus.E), initial=1) >= 2 ** 63:
+            raise ValidationError(f"k = {k} carries the loop coefficients k*(C E) past int64")
+    return (k * HOL_SIGN) * (C @ torus.E), k * chi_phase_turns(chi, torus, C)
 
 
 def automorphy_factor(torus, chi, k, coords, z):

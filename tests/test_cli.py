@@ -228,11 +228,13 @@ def test_bad_power_or_eps_exits_1_without_traceback(tmp_path, command, flags):
     ("validate", {"H": [[{"re": math.nan, "im": 0.0}]]}, "Infinity"),
     ("rho", {"basis": [[math.inf, 0.0], [0.0, 1.0]]}, "Infinity"),
     ("validate", {"basis": [[1.0, 0.0], [0.0, math.inf]]}, "1e400"),
+    ("rho", {"H": [[{"re": None, "im": 0.0}]]}, "Infinity"),
 ], ids=["validate-n-true", "rho-n-true", "validate-k-true", "validate-H-nan", "rho-basis-inf",
-        "validate-basis-1e400"])
+        "validate-basis-1e400", "rho-H-null"])
 def test_malformed_config_exits_1_without_traceback(tmp_path, command, overrides, infinity):
     """A bool n ended in a TypeError traceback and a bool k was accepted; a non-finite basis
-    or H made validate print pfaffian_abs = 2**63 and rho end in an IndexError traceback."""
+    or H made validate print pfaffian_abs = 2**63 and rho end in an IndexError traceback;
+    a null in H ended rho in a TypeError traceback."""
     cfg = write_config(tmp_path, **overrides)
     with open(cfg) as fh:
         text = fh.read().replace("Infinity", infinity)

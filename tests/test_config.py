@@ -61,6 +61,17 @@ def test_nested_basis_form_accepted():
     lambda d: d.update(H=[[{"re": math.nan, "im": 0.0}]]),
     lambda d: d.update(basis=[[math.inf, 0.0], [0.0, 1.0]]),
     lambda d: d.update(basis=json.loads("[[1.0, 0.0], [0.0, 1e400]]")),
+    lambda d: d.update(H=[[{"re": None, "im": 0}]]),
+    lambda d: d.update(H=[[{"re": [1], "im": 0}]]),
+    lambda d: d.update(H=[[{"re": "1.0", "im": 0}]]),
+    lambda d: d.update(H=[[{"re": True, "im": 0}]]),
+    lambda d: d.update(basis=[[True, 0.0], [0.0, 1.0]]),
+    lambda d: d.update(basis=[["1.0", 0.0], [0.0, 1.0]]),
+    lambda d: d.update(chi_phases=["0.5", 0.0]),
+    lambda d: d.update(chi_phases=[True, 0.0]),
+    lambda d: d.update(chi_phases=[math.nan, 0.0]),
+    lambda d: d.update(basis=[1.0, 2.0]),
+    lambda d: d.update(basis=[[10 ** 400, 0.0], [0.0, 1.0]]),
 ])
 def test_malformed_configs_rejected(mutate):
     data = _sq1_dict()

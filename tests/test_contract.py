@@ -122,6 +122,11 @@ def test_wrong_length_points_and_vectors():
             tk.chi_phase_turns(CHI, SQ1, coords)
         with pytest.raises(tk.ValidationError, match="length"):
             tk.automorphy_factor(SQ1, CHI, 1, coords, [0.1j])
+    # a wrong-shape basis or H, a ragged one, or a string entry (a bare TypeError)
+    for basis, H in (([[1]], [[1]]), ([[1], [1j]], [[1, 0]]), ([[1], [1j, 2]], [[1]]),
+                     ([[1], [1j]], [["x"]])):
+        with pytest.raises(tk.ValidationError, match="basis and H"):
+            tk.PolarizedTorus(n=1, basis=basis, H=H)
 
 
 _PRODUCT = tk.product_torus(SQ1, tk.standard_torus(0.3 + 1.2j, 1))

@@ -8,6 +8,7 @@ lift-difference solve of the translate offset, the pushforward verdict of
 ``compare_bundles``) stay here as references.
 """
 
+import cmath
 import json
 import math
 
@@ -124,26 +125,57 @@ def test_hol_closed_matches_the_im_h_pairing(torus):
         assert A.dtype == np.int64 and got.alpha == (float(A @ np.array(p.coords)) - phi) % 1.0
 
 
-@pytest.mark.parametrize("k,v", [(2 ** 63, (1, 0)), (2 ** 62, (2, 0)), (2 ** 70, (1, 1))])
+D2 = tk.standard_torus(TAU, 2)
+
+
+@pytest.mark.parametrize("k,v", [(2 ** 63, (1, 0)), (2 ** 62, (2, 0)), (2 ** 70, (1, 1)),
+                                 (1, (2 ** 62 + 1, 0)), (2 ** 63, (0, 0))])
 def test_holonomy_turns_refuse_an_int64_overflow(k, v):
     """k = 2**63 ended in a bare OverflowError, and k*(C E) = 2**63 at
-    k = 2**62 wrapped round silently; one below the range still answers."""
+    k = 2**62 wrapped round silently; one below the range still answers.
+    The k = 1 loop is read on D2, whose E has entries +-2: C @ E =
+    (0, -2**63 - 2) wrapped to (0, 2**63 - 2), and alpha read 0.0.  The
+    zero loop at k = 2**63 ended in a bare OverflowError."""
     p = tk.TorusPoint.from_coords(SQ1, (0.25, 0.5))
+    torus = D2 if k == 1 else SQ1
     with pytest.raises(tk.ValidationError, match="past int64"):
-        tk.hol_closed(SQ1, CHI, k, p, v)
+        tk.hol_closed(torus, CHI, k, tk.TorusPoint.from_coords(torus, (0.25, 0.5)), v)
+    with pytest.raises(tk.ValidationError, match="past int64"):
+        _holonomy_turns(torus, CHI, k, np.array([v, (1, 0)]))
     if k >= 2 ** 63:
         with pytest.raises(tk.ValidationError, match="past int64"):
             tk.rho_diag(SQ1, CHI, k, p)
     assert 0.0 <= tk.hol_closed(SQ1, CHI, 2 ** 62, p, (1, 0)).alpha < 1.0
 
 
-@pytest.mark.parametrize("command", [["hol", "--vector", "1,0"], ["rho"]])
+@pytest.mark.parametrize("command", [["hol", "--vector", "1,0"], ["rho"],
+                                     ["hol", "--vector", "0,0"]])
 def test_int64_overflowing_k_exits_1_without_traceback(tmp_path, command):
     cfg = _config(tmp_path, [[1, 0], [0, 1]], 1)
     proc = run_cli([*command, "--config", cfg, "--point", "0.25,0.5", "--k", str(2 ** 63)])
     assert proc.returncode == 1
     assert proc.stderr.startswith("ValidationError: ") and "Traceback" not in proc.stderr
     assert proc.stdout == ""
+
+
+def test_holonomy_turns_answer_up_to_the_int64_edge():
+    """The bound k*(|C| @ |E|) is exact near 2**63: one below it answers."""
+    A, _ = _holonomy_turns(D2, CHI, 1, np.array([[2 ** 62 - 1, 0], [0, -(2 ** 62 - 1)]]))
+    assert A.tolist() == [[0, -(2 ** 63 - 2)], [-(2 ** 63 - 2), 0]]
+    A, _ = _holonomy_turns(SQ1, CHI, 1, np.array([[2 ** 63 - 1, 0]]))
+    assert A.tolist() == [[0, -(2 ** 63 - 1)]]
+
+
+@pytest.mark.parametrize("torus", [SQ1, D2], ids=["sq1", "d2"])
+def test_hol_closed_value_is_the_reduced_turn(torus):
+    """The value was exp(2*pi*i*turns) of the unreduced turn: at the loop (2**40, 0)
+    on D2 it sat 6.4e-5 turns off the alpha of 0.0 reported beside it."""
+    p = tk.TorusPoint.from_coords(torus, (0.3, 0.6))
+    for j in range(0, 53, 4):
+        for v in ((2 ** j, 0), (0, 2 ** j), (2 ** j, -3), (-(2 ** j), 2 ** j)):
+            hol = tk.hol_closed(torus, CHI, 1, p, v)
+            assert abs(abs(hol.value) - 1.0) < 1e-15
+            assert circ(cmath.phase(hol.value) / (2 * math.pi), hol.alpha) < 1e-12
 
 
 def test_holonomy_turns_keep_exact_integers_for_object_rows():
